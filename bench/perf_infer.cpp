@@ -1,15 +1,17 @@
 // perf_infer — before/after sweep of the compiled inference hot path.
 //
-// Two measurements, both against the preserved reference code:
+// Two measurements, both against the reference oracles in
+// tests/infer/naive_features.h:
 //
-//   * n-gram stage: per-walk TF-IDF production via the original
-//     unordered_map counting (count_grams_reference + map tfidf_into)
-//     versus the fused count_into_vocab -> dense tfidf_into path the
-//     frozen model compiles (DirectGramTable lookup), on identical
-//     walks. Outputs are checked bitwise before timing.
-//   * end-to-end: SoteriaSystem::analyze_batch through the interpreted
-//     layer objects versus the frozen fused model, at 1/2/4 threads,
-//     with exact verdict identity asserted per thread count.
+//   * n-gram stage: per-walk TF-IDF production via per-window map
+//     counting (count_grams_reference + tfidf_reference) versus the
+//     fused count_into_vocab -> dense tfidf_into path the pipeline runs
+//     (the vocabulary's DirectGramTable lookup), on identical walks.
+//     Outputs are checked bitwise before timing.
+//   * end-to-end: the map-based extraction + interpreted layer objects
+//     (reference_analyze, parallelized like analyze_batch) versus
+//     SoteriaSystem::analyze_batch, at 1/2/4 threads, with exact
+//     verdict identity asserted per thread count.
 //
 // The sweep fails (non-zero exit) if any identity check fails, if the
 // n-gram fast path is under 3x, or if the frozen model is under 2x
@@ -34,8 +36,9 @@
 #include "features/ngram.h"
 #include "features/random_walk.h"
 #include "features/vocabulary.h"
+#include "infer/naive_features.h"
 #include "math/rng.h"
-#include "soteria/frozen.h"
+#include "runtime/thread_pool.h"
 #include "soteria/presets.h"
 #include "soteria/system.h"
 
@@ -83,17 +86,10 @@ NgramResult run_ngram_stage(const core::SoteriaSystem& model,
 
   struct WalkSet {
     const features::Vocabulary* vocab;
-    features::DirectGramTable table;
     std::vector<std::vector<cfg::Label>> walks;
   };
-  WalkSet sets[2] = {{&pipeline.dbl_vocabulary(), {}, {}},
-                     {&pipeline.lbl_vocabulary(), {}, {}}};
-  // The after-side resolves keys through the same freeze-time direct
-  // table the frozen model compiles, not the vocabulary's compact
-  // perfect hash.
-  for (auto& set : sets) {
-    set.table = features::DirectGramTable::build(set.vocab->grams());
-  }
+  WalkSet sets[2] = {{&pipeline.dbl_vocabulary(), {}},
+                     {&pipeline.lbl_vocabulary(), {}}};
 
   math::Rng walk_rng(seed + 17);
   for (const auto& cfg : cfgs) {
@@ -119,11 +115,12 @@ NgramResult run_ngram_stage(const core::SoteriaSystem& model,
     for (const auto& walk : set.walks) {
       features::GramCounts counts;
       features::count_grams_reference(walk, config.gram_sizes, counts);
-      set.vocab->tfidf_into(counts, out_reference, config.l2_normalize);
+      out_reference =
+          features::tfidf_reference(*set.vocab, counts, config.l2_normalize);
 
       std::fill(dense.begin(), dense.end(), 0U);
       const std::uint64_t windows = features::count_into_vocab(
-          walk, config.gram_sizes, set.table, dense);
+          walk, config.gram_sizes, set.vocab->table(), dense);
       set.vocab->tfidf_into(dense, windows, out_flat, config.l2_normalize);
 
       if (std::memcmp(out_reference.data(), out_flat.data(),
@@ -141,11 +138,11 @@ NgramResult run_ngram_stage(const core::SoteriaSystem& model,
   const auto reference_start = std::chrono::steady_clock::now();
   for (std::size_t rep = 0; rep < kReps; ++rep) {
     for (const auto& set : sets) {
-      out_reference.assign(set.vocab->size(), 0.0F);
       for (const auto& walk : set.walks) {
         features::GramCounts counts;
         features::count_grams_reference(walk, config.gram_sizes, counts);
-        set.vocab->tfidf_into(counts, out_reference, config.l2_normalize);
+        out_reference =
+            features::tfidf_reference(*set.vocab, counts, config.l2_normalize);
         checksum += out_reference.empty() ? 0.0 : out_reference[0];
       }
     }
@@ -160,7 +157,7 @@ NgramResult run_ngram_stage(const core::SoteriaSystem& model,
       for (const auto& walk : set.walks) {
         std::fill(dense.begin(), dense.end(), 0U);
         const std::uint64_t windows = features::count_into_vocab(
-            walk, config.gram_sizes, set.table, dense);
+            walk, config.gram_sizes, set.vocab->table(), dense);
         set.vocab->tfidf_into(dense, windows, out_flat,
                               config.l2_normalize);
         checksum += out_flat.empty() ? 0.0 : out_flat[0];
@@ -191,12 +188,8 @@ EndToEndResult run_end_to_end(const core::SoteriaSystem& model,
   const math::Rng rng(911);
   constexpr std::size_t kReps = 3;
 
-  core::AnalyzeOptions interpreted_options;
-  interpreted_options.num_threads = threads;
-  interpreted_options.use_frozen = false;
-
-  core::AnalyzeOptions frozen_options = interpreted_options;
-  frozen_options.use_frozen = true;
+  core::AnalyzeOptions frozen_options;
+  frozen_options.num_threads = threads;
 
   EndToEndResult result;
   result.threads = threads;
@@ -208,7 +201,11 @@ EndToEndResult run_end_to_end(const core::SoteriaSystem& model,
   std::vector<core::Verdict> frozen;
   for (std::size_t rep = 0; rep < kReps; ++rep) {
     const auto interpreted_start = std::chrono::steady_clock::now();
-    interpreted = model.analyze_batch(cfgs, rng, interpreted_options);
+    interpreted = runtime::parallel_map(
+        threads, cfgs.size(), [&](std::size_t i) {
+          math::Rng sample_rng = rng.child(i);
+          return core::reference_analyze(model, cfgs[i], sample_rng);
+        });
     result.interpreted_ms =
         std::min(result.interpreted_ms, elapsed_ms(interpreted_start));
 
@@ -237,8 +234,7 @@ int run() {
   math::Rng rng(seed);
   const auto data = dataset::generate_dataset(data_config, rng);
   const auto config = core::tiny_config();
-  auto model = core::SoteriaSystem::train(data.train, config);
-  model.freeze();
+  const auto model = core::SoteriaSystem::train(data.train, config);
 
   std::vector<cfg::Cfg> base;
   base.reserve(data.test.size());
@@ -269,12 +265,11 @@ int run() {
     cfgs.insert(cfgs.end(), base.begin(), base.end());
   }
 
-  // One untimed interpreted pass warms the shared labeling cache so
-  // neither timed path pays the one-off labeling cost.
+  // One untimed pass warms the shared labeling cache so neither timed
+  // path pays the one-off labeling cost.
   {
     core::AnalyzeOptions warm;
     warm.num_threads = 1;
-    warm.use_frozen = false;
     (void)model.analyze_batch(cfgs, math::Rng(911), warm);
   }
 

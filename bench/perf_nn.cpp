@@ -17,6 +17,7 @@
 #include <string>
 
 #include "common/perf_json.h"
+#include "infer/naive_kernels.h"
 #include "math/matrix.h"
 #include "nn/autoencoder.h"
 #include "nn/cnn.h"

@@ -1,5 +1,7 @@
 #include "features/pipeline.h"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -7,6 +9,7 @@
 #include "io/binary_io.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
+#include "soteria/error.h"
 #include "store/feature_store.h"
 
 namespace soteria::features {
@@ -71,6 +74,61 @@ std::vector<float> SampleFeatures::pooled_combined() const {
   std::vector<float> vec = pooled_dbl;
   vec.insert(vec.end(), pooled_lbl.begin(), pooled_lbl.end());
   return vec;
+}
+
+namespace {
+
+/// Packs per-walk vectors of width `width` back to back.
+void pack_flat(const std::vector<std::vector<float>>& vecs, std::size_t width,
+               std::vector<float>& flat) {
+  for (const auto& v : vecs) {
+    if (v.size() != width) {
+      throw core::Error(core::ErrorCode::kInvalidArgument,
+                        "FeatureRows: per-walk row width differs from the "
+                        "pooled row");
+    }
+  }
+  flat.resize(vecs.size() * width);
+  for (std::size_t w = 0; w < vecs.size(); ++w) {
+    std::copy(vecs[w].begin(), vecs[w].end(), flat.begin() + w * width);
+  }
+}
+
+/// Splits flat rows back into one vector per walk.
+std::vector<std::vector<float>> unpack_flat(const std::vector<float>& flat,
+                                            std::size_t walks,
+                                            std::size_t width) {
+  std::vector<std::vector<float>> vecs(walks);
+  for (std::size_t w = 0; w < walks; ++w) {
+    vecs[w].assign(flat.begin() + w * width, flat.begin() + (w + 1) * width);
+  }
+  return vecs;
+}
+
+}  // namespace
+
+void FeatureRows::assign(const SampleFeatures& features) {
+  if (features.pooled_dbl.empty() && features.pooled_lbl.empty()) {
+    throw core::Error(core::ErrorCode::kInvalidArgument,
+                      "FeatureRows: empty feature bundle");
+  }
+  dbl_walks = features.dbl.size();
+  lbl_walks = features.lbl.size();
+  dbl_dim = features.pooled_dbl.size();
+  lbl_dim = features.pooled_lbl.size();
+  pack_flat(features.dbl, dbl_dim, dbl);
+  pack_flat(features.lbl, lbl_dim, lbl);
+  pooled = features.pooled_combined();
+}
+
+SampleFeatures FeatureRows::to_features() const {
+  SampleFeatures features;
+  features.dbl = unpack_flat(dbl, dbl_walks, dbl_dim);
+  features.lbl = unpack_flat(lbl, lbl_walks, lbl_dim);
+  const auto split = pooled.begin() + static_cast<std::ptrdiff_t>(dbl_dim);
+  features.pooled_dbl.assign(pooled.begin(), split);
+  features.pooled_lbl.assign(split, pooled.end());
+  return features;
 }
 
 cfg::NodeLabelings FeaturePipeline::labelings_for(
@@ -158,73 +216,126 @@ FeaturePipeline FeaturePipeline::fit(
   return pipeline;
 }
 
-SampleFeatures FeaturePipeline::extract(const cfg::Cfg& cfg,
-                                        math::Rng& rng) const {
+namespace {
+
+/// Draws `walks` walks of `steps` steps over `view`, consuming `rng`
+/// exactly like random_walk_nodes (one draw per step from a node with
+/// neighbors), and counts each walk's grams into its dense vocabulary
+/// row of `counts` as it is taken. Counting consumes no randomness, so
+/// fusing it into the walk changes no draw. Writes each walk's window
+/// total to `totals`.
+void walk_and_count(const UndirectedView& view,
+                    const std::vector<cfg::Label>& labels,
+                    const Vocabulary& vocab,
+                    std::span<const std::size_t> gram_sizes,
+                    std::size_t walks, std::size_t steps, math::Rng& rng,
+                    std::vector<cfg::Label>& walk,
+                    std::vector<std::uint32_t>& counts,
+                    std::uint64_t* totals) {
+  const std::size_t dim = vocab.size();
+  obs::registry().counter_add("soteria.features.walks", walks);
+  obs::registry().counter_add("soteria.features.walk_steps", walks * steps);
+  counts.assign(walks * dim, 0);
+  walk.reserve(steps + 1);
+  for (std::size_t w = 0; w < walks; ++w) {
+    walk.clear();
+    graph::NodeId current = view.entry();
+    walk.push_back(labels[current]);
+    for (std::size_t s = 0; s < steps; ++s) {
+      const auto& nbrs = view.neighbors(current);
+      if (!nbrs.empty()) current = nbrs[rng.index(nbrs.size())];
+      walk.push_back(labels[current]);
+    }
+    totals[w] = count_into_vocab(
+        walk, gram_sizes, vocab.table(),
+        std::span<std::uint32_t>(counts.data() + w * dim, dim));
+  }
+}
+
+/// TF-IDF rows for one labeling's per-walk counts, plus the pooled row
+/// (the counts of all walks summed) into `pooled_out`.
+void tfidf_rows(const Vocabulary& vocab,
+                const std::vector<std::uint32_t>& counts,
+                const std::uint64_t* totals, std::size_t walks,
+                bool l2_normalize, std::vector<std::uint32_t>& pooled_counts,
+                std::vector<float>& rows, float* pooled_out) {
+  const std::size_t dim = vocab.size();
+  rows.resize(walks * dim);
+  pooled_counts.assign(dim, 0);
+  std::uint64_t pooled_total = 0;
+  for (std::size_t w = 0; w < walks; ++w) {
+    const std::span<const std::uint32_t> row(counts.data() + w * dim, dim);
+    vocab.tfidf_into(row, totals[w],
+                     std::span<float>(rows.data() + w * dim, dim),
+                     l2_normalize);
+    for (std::size_t i = 0; i < dim; ++i) pooled_counts[i] += row[i];
+    pooled_total += totals[w];
+  }
+  vocab.tfidf_into(pooled_counts, pooled_total,
+                   std::span<float>(pooled_out, dim), l2_normalize);
+}
+
+}  // namespace
+
+void FeaturePipeline::extract_into(const cfg::Cfg& cfg, math::Rng& rng,
+                                   FeatureRows& rows) const {
   const obs::Span span("pipeline.extract");
-  SampleFeatures features;
-  const auto labelings = labelings_for(cfg);
-
-  const auto dbl_walks =
-      labeled_walks(cfg, labelings.dbl, config_.walk, rng);
-  const auto lbl_walks =
-      labeled_walks(cfg, labelings.lbl, config_.walk, rng);
-
-  // Staged so the gram-counting and vectorisation costs show up as
-  // separate spans in the timing tree. Counting uses the rolling
-  // packed-key update into the general map representation — the same
-  // intermediate the training path and gram_counts() produce. The
-  // vocabulary-fused dense counting (count_into_vocab straight into TF
-  // rows, no map at all) is deliberately left to the frozen model
-  // (soteria/frozen.*): it requires a baked per-vocabulary lookup
-  // structure, which is exactly what freezing is for. The map and
-  // dense TF-IDF overloads are bit-identical, so both paths produce
-  // the same vectors.
-  const std::size_t dbl_dim = dbl_vocab_.size();
-  const std::size_t lbl_dim = lbl_vocab_.size();
-  std::vector<GramCounts> dbl_maps(dbl_walks.size());
-  std::vector<GramCounts> lbl_maps(lbl_walks.size());
-  GramCounts dbl_pooled;
-  GramCounts lbl_pooled;
+  const cfg::NodeLabelings labelings = labelings_for(cfg);
+  // Any node can be walked, so a label table shorter than the CFG is
+  // rejected up front rather than per visited node.
+  if (labelings.dbl.size() < cfg.node_count() ||
+      labelings.lbl.size() < cfg.node_count()) {
+    throw core::Error(core::ErrorCode::kOutOfRange,
+                      "apply_labels: node id beyond label table");
+  }
+  // One adjacency view serves both labelings; the step count matches
+  // labeled_walks.
+  const UndirectedView view(cfg);
+  const auto steps = static_cast<std::size_t>(std::llround(
+      config_.walk.length_multiplier * static_cast<double>(cfg.node_count())));
+  const std::size_t walks = config_.walk.walks_per_labeling;
+  rows.dbl_walks = walks;
+  rows.lbl_walks = walks;
+  rows.dbl_dim = dbl_vocab_.size();
+  rows.lbl_dim = lbl_vocab_.size();
+  rows.totals.resize(2 * walks);
   {
+    // DBL walks first, then LBL: the stream order every extraction of
+    // this pipeline has always used.
     const obs::Span ngram_span("features.ngrams");
-    // Reserve once per map: a walk yields several hundred distinct
-    // grams, and letting unordered_map grow through its default
-    // rehash ladder costs more than the counting itself.
-    dbl_pooled.reserve(4096);
-    lbl_pooled.reserve(4096);
-    for (std::size_t w = 0; w < dbl_walks.size(); ++w) {
-      dbl_maps[w].reserve(2048);
-      count_grams(dbl_walks[w], config_.gram_sizes, dbl_maps[w]);
-      for (const auto& [key, count] : dbl_maps[w]) dbl_pooled[key] += count;
-    }
-    for (std::size_t w = 0; w < lbl_walks.size(); ++w) {
-      lbl_maps[w].reserve(2048);
-      count_grams(lbl_walks[w], config_.gram_sizes, lbl_maps[w]);
-      for (const auto& [key, count] : lbl_maps[w]) lbl_pooled[key] += count;
-    }
+    walk_and_count(view, labelings.dbl, dbl_vocab_, config_.gram_sizes, walks,
+                   steps, rng, rows.walk, rows.dbl_counts, rows.totals.data());
+    walk_and_count(view, labelings.lbl, lbl_vocab_, config_.gram_sizes, walks,
+                   steps, rng, rows.walk, rows.lbl_counts,
+                   rows.totals.data() + walks);
   }
   {
     const obs::Span tfidf_span("features.tfidf");
-    features.dbl.resize(dbl_walks.size());
-    for (std::size_t w = 0; w < dbl_walks.size(); ++w) {
-      features.dbl[w].resize(dbl_dim);
-      dbl_vocab_.tfidf_into(dbl_maps[w], features.dbl[w],
-                            config_.l2_normalize);
-    }
-    features.lbl.resize(lbl_walks.size());
-    for (std::size_t w = 0; w < lbl_walks.size(); ++w) {
-      features.lbl[w].resize(lbl_dim);
-      lbl_vocab_.tfidf_into(lbl_maps[w], features.lbl[w],
-                            config_.l2_normalize);
-    }
-    features.pooled_dbl.resize(dbl_dim);
-    dbl_vocab_.tfidf_into(dbl_pooled, features.pooled_dbl,
-                          config_.l2_normalize);
-    features.pooled_lbl.resize(lbl_dim);
-    lbl_vocab_.tfidf_into(lbl_pooled, features.pooled_lbl,
-                          config_.l2_normalize);
+    rows.pooled.resize(rows.dbl_dim + rows.lbl_dim);
+    tfidf_rows(dbl_vocab_, rows.dbl_counts, rows.totals.data(), walks,
+               config_.l2_normalize, rows.pooled_counts, rows.dbl,
+               rows.pooled.data());
+    tfidf_rows(lbl_vocab_, rows.lbl_counts, rows.totals.data() + walks, walks,
+               config_.l2_normalize, rows.pooled_counts, rows.lbl,
+               rows.pooled.data() + rows.dbl_dim);
   }
-  return features;
+}
+
+namespace {
+
+/// Rows for the bundle-returning wrappers on the calling thread.
+FeatureRows& scratch_rows() {
+  thread_local FeatureRows rows;
+  return rows;
+}
+
+}  // namespace
+
+SampleFeatures FeaturePipeline::extract(const cfg::Cfg& cfg,
+                                        math::Rng& rng) const {
+  FeatureRows& rows = scratch_rows();
+  extract_into(cfg, rng, rows);
+  return rows.to_features();
 }
 
 void FeaturePipeline::save(std::ostream& out) const {
@@ -278,11 +389,21 @@ FeaturePipeline FeaturePipeline::load(std::istream& in) {
 SampleFeatures FeaturePipeline::extract_stored(
     const cfg::Cfg& cfg, const math::Rng& fresh_rng,
     store::FeatureStore* store) const {
+  FeatureRows& rows = scratch_rows();
+  extract_stored_into(cfg, fresh_rng, store, rows);
+  return rows.to_features();
+}
+
+void FeaturePipeline::extract_stored_into(const cfg::Cfg& cfg,
+                                          const math::Rng& fresh_rng,
+                                          store::FeatureStore* store,
+                                          FeatureRows& rows) const {
   store::FeatureStore* target =
       store != nullptr ? store : feature_store_.get();
+  math::Rng rng = fresh_rng;
   if (target == nullptr) {
-    math::Rng rng = fresh_rng;
-    return extract(cfg, rng);
+    extract_into(cfg, rng, rows);
+    return;
   }
   // The key ties the entry to the exact extraction it replaces: the
   // CFG's content, this pipeline's fitted state, and the walk stream
@@ -290,11 +411,12 @@ SampleFeatures FeaturePipeline::extract_stored(
   // only because the generator has never been advanced).
   const store::FeatureKey key{cfg::LabelingCache::content_hash(cfg),
                               fingerprint_.value, fresh_rng.seed()};
-  if (auto cached = target->get(key)) return *std::move(cached);
-  math::Rng rng = fresh_rng;
-  SampleFeatures features = extract(cfg, rng);
-  target->put(key, features);
-  return features;
+  if (auto cached = target->get(key)) {
+    rows.assign(*cached);
+    return;
+  }
+  extract_into(cfg, rng, rows);
+  target->put(key, rows.to_features());
 }
 
 }  // namespace soteria::features

@@ -3,7 +3,10 @@
 //   {2,3,4}-grams -> TF-IDF against a top-500 vocabulary per labeling.
 //
 // `fit()` learns the two vocabularies from a training corpus;
-// `extract()` then turns any CFG into:
+// `extract_into()` then turns any CFG into flat rows in one fused pass
+// (walks are drawn and their grams counted straight into dense
+// vocabulary rows, then TF-IDF weighted), and `extract()` copies those
+// rows out as:
 //   * 10 per-walk 1x500 DBL vectors and 10 per-walk 1x500 LBL vectors
 //     (the classifier's voting inputs), and
 //   * 10 combined 1x1000 vectors (walk i's DBL ++ LBL), the detector's
@@ -11,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <span>
@@ -89,6 +93,38 @@ struct SampleFeatures {
   [[nodiscard]] std::vector<float> mean_lbl() const;
 };
 
+/// Flat output of the fused extractor (FeaturePipeline::extract_into):
+/// each labeling's per-walk TF-IDF rows back to back, walk-major, and
+/// the pooled detector row — the layout the compiled networks consume
+/// in place. Also holds the scratch that produced them. Buffers only
+/// grow, so one instance per thread makes extraction allocation-free
+/// once warm.
+struct FeatureRows {
+  std::size_t dbl_walks = 0;
+  std::size_t lbl_walks = 0;
+  std::size_t dbl_dim = 0;
+  std::size_t lbl_dim = 0;
+  std::vector<float> dbl;     ///< dbl_walks x dbl_dim
+  std::vector<float> lbl;     ///< lbl_walks x lbl_dim
+  std::vector<float> pooled;  ///< pooled_dbl ++ pooled_lbl
+
+  /// Copies a bundle in (e.g. a feature-store hit). Throws
+  /// core::Error{kInvalidArgument} for a bundle with no pooled vector
+  /// or with a per-walk row wider or narrower than its labeling's
+  /// pooled row.
+  void assign(const SampleFeatures& features);
+
+  /// Copies the rows out as a bundle.
+  [[nodiscard]] SampleFeatures to_features() const;
+
+  // Extraction scratch, reused across calls.
+  std::vector<cfg::Label> walk;
+  std::vector<std::uint32_t> dbl_counts;
+  std::vector<std::uint32_t> lbl_counts;
+  std::vector<std::uint32_t> pooled_counts;
+  std::vector<std::uint64_t> totals;
+};
+
 /// Fitted feature extractor.
 class FeaturePipeline {
  public:
@@ -106,10 +142,19 @@ class FeaturePipeline {
       math::Rng& rng, std::size_t num_threads = 1,
       std::shared_ptr<cfg::LabelingCache> labeling_cache = nullptr);
 
-  /// Extracts the full feature bundle for one CFG. Each call draws
-  /// fresh walks from `rng` — this is Soteria's randomization property:
-  /// two extractions of the same sample yield different (but similarly
-  /// distributed) vectors.
+  /// The fused extractor, the one implementation of walk, count and
+  /// TF-IDF. Labels `cfg` (through the labeling cache when installed),
+  /// draws walks_per_labeling DBL walks then as many LBL walks from
+  /// `rng`, counting each walk's grams into its dense vocabulary row as
+  /// it is taken, and writes the TF-IDF rows into `rows`. Each call
+  /// draws fresh walks — this is Soteria's randomization property: two
+  /// extractions of the same sample yield different (but similarly
+  /// distributed) vectors. Throws core::Error{kOutOfRange} when a
+  /// labeling is shorter than the CFG.
+  void extract_into(const cfg::Cfg& cfg, math::Rng& rng,
+                    FeatureRows& rows) const;
+
+  /// extract_into() copied out as a feature bundle.
   [[nodiscard]] SampleFeatures extract(const cfg::Cfg& cfg,
                                        math::Rng& rng) const;
 
@@ -123,6 +168,13 @@ class FeaturePipeline {
   [[nodiscard]] SampleFeatures extract_stored(
       const cfg::Cfg& cfg, const math::Rng& fresh_rng,
       store::FeatureStore* store = nullptr) const;
+
+  /// extract_stored() into flat rows, which extract_stored() copies
+  /// out: a hit is copied in, a miss is extracted in place and its
+  /// bundle written to the store.
+  void extract_stored_into(const cfg::Cfg& cfg, const math::Rng& fresh_rng,
+                           store::FeatureStore* store,
+                           FeatureRows& rows) const;
 
   [[nodiscard]] const Vocabulary& dbl_vocabulary() const noexcept {
     return dbl_vocab_;
@@ -194,8 +246,8 @@ class FeaturePipeline {
   /// Both labelings of `cfg`, through the cache when one is installed.
   [[nodiscard]] cfg::NodeLabelings labelings_for(const cfg::Cfg& cfg) const;
 
-  /// Walks over `labels` pooled into gram counts (the per-labeling
-  /// tail of gram_counts, with the labeling already derived).
+  /// Walks over `labels` pooled into gram counts for fit(), where no
+  /// vocabulary exists yet (the per-labeling tail of gram_counts).
   [[nodiscard]] GramCounts gram_counts_for_labels(
       const cfg::Cfg& cfg, const std::vector<cfg::Label>& labels,
       math::Rng& rng) const;

@@ -5,11 +5,11 @@
 // weights counts with TF-IDF, so a sample's feature vector is
 // tf(g, sample) * idf(g, corpus) over the selected grams.
 //
-// Lookup is a minimal perfect hash over the selected grams (built at
-// fit/load time), and the TF-IDF arithmetic stays in float throughout —
-// both the map-based and the dense `tfidf_into` overloads perform the
-// identical per-slot operations, so the interpreted and frozen paths
-// produce bit-identical vectors.
+// Lookup is a direct-mapped table over the selected grams (built at
+// fit/load time, never serialized), and the TF-IDF arithmetic exists
+// once, in float throughout: the dense `tfidf_into` the fused extractor
+// calls. The map-based overload only scatters a gram map into dense
+// counts and delegates to it.
 #pragma once
 
 #include <cstddef>
@@ -57,10 +57,12 @@ class Vocabulary {
     return idf_;
   }
 
-  /// The minimal perfect hash over the selected grams; shared with
+  /// The lookup table over the selected grams; shared with
   /// count_into_vocab so counting can accumulate straight into the
   /// dense TF vector.
-  [[nodiscard]] const PerfectGramHash& hash() const noexcept { return hash_; }
+  [[nodiscard]] const DirectGramTable& table() const noexcept {
+    return table_;
+  }
 
   /// TF-IDF feature vector for one bag of gram counts. Dimension ==
   /// size(). Unselected grams are ignored. With `l2_normalize` the
@@ -71,15 +73,17 @@ class Vocabulary {
       const GramCounts& counts, bool l2_normalize = true) const;
 
   /// Writes the TF-IDF vector for `counts` into `out` (size() floats),
-  /// overwriting it. Bit-identical to tfidf_vector.
+  /// overwriting it: the map's in-vocabulary counts are scattered into
+  /// dense index order and handed to the dense overload with the map's
+  /// full occurrence total.
   void tfidf_into(const GramCounts& counts, std::span<float> out,
                   bool l2_normalize = true) const;
 
-  /// Dense-input overload for the fast path: `counts_by_index` holds
-  /// per-selected-gram counts (index order, size() entries) and
-  /// `total_occurrences` the full window total including
-  /// out-of-vocabulary grams (as returned by count_into_vocab).
-  /// Bit-identical to the map overload on equivalent inputs.
+  /// Dense-input overload, the one TF-IDF implementation:
+  /// `counts_by_index` holds per-selected-gram counts (index order,
+  /// size() entries) and `total_occurrences` the full window total
+  /// including out-of-vocabulary grams (as returned by
+  /// count_into_vocab).
   void tfidf_into(std::span<const std::uint32_t> counts_by_index,
                   std::uint64_t total_occurrences, std::span<float> out,
                   bool l2_normalize = true) const;
@@ -100,7 +104,7 @@ class Vocabulary {
   std::vector<std::uint64_t> frequencies_;
   std::vector<double> idf_;
   std::vector<float> idf_f_;  // idf_ narrowed once, not per gram per sample
-  PerfectGramHash hash_;
+  DirectGramTable table_;
 };
 
 }  // namespace soteria::features

@@ -20,20 +20,12 @@ namespace soteria::nn {
 /// output element accumulates bias first, then channel/tap products in
 /// ascending (channel, tap) order. Processes output channels in pairs
 /// so each input-channel load feeds two accumulator streams;
-/// bit-identical to conv1d_infer_reference_into for finite inputs.
+/// bit-identical to the one-channel-at-a-time loop
+/// (tests/infer/naive_kernels.h) for finite inputs.
 void conv1d_infer_into(const float* in, float* out, const float* weights,
                        const float* bias, std::size_t rows,
                        std::size_t in_channels, std::size_t in_length,
                        std::size_t out_channels, std::size_t kernel) noexcept;
-
-/// The original one-channel-at-a-time loop, preserved verbatim as the
-/// test oracle for the paired kernel (tests/infer).
-void conv1d_infer_reference_into(const float* in, float* out,
-                                 const float* weights, const float* bias,
-                                 std::size_t rows, std::size_t in_channels,
-                                 std::size_t in_length,
-                                 std::size_t out_channels,
-                                 std::size_t kernel) noexcept;
 
 class Conv1d : public Layer {
  public:

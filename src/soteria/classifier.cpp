@@ -139,8 +139,6 @@ std::vector<std::size_t> FamilyClassifier::vote_counts(
   return votes;
 }
 
-namespace {
-
 dataset::Family vote_winner(const std::vector<std::size_t>& votes,
                             const std::vector<double>& mass) {
   std::size_t best = 0;
@@ -153,7 +151,6 @@ dataset::Family vote_winner(const std::vector<std::size_t>& votes,
   return dataset::family_from_index(best);
 }
 
-/// Winner votes minus runner-up votes: 0 means a mass-broken tie.
 std::size_t vote_margin(const std::vector<std::size_t>& votes) {
   std::size_t top = 0;
   std::size_t second = 0;
@@ -167,8 +164,6 @@ std::size_t vote_margin(const std::vector<std::size_t>& votes) {
   }
   return top - second;
 }
-
-}  // namespace
 
 dataset::Family FamilyClassifier::predict(
     const features::SampleFeatures& features) const {

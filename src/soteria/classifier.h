@@ -100,6 +100,14 @@ class FamilyClassifier {
   nn::TrainReport lbl_report_;
 };
 
+/// The majority-vote winner: most votes, ties broken by summed softmax
+/// probability, then by the lower class index.
+[[nodiscard]] dataset::Family vote_winner(
+    const std::vector<std::size_t>& votes, const std::vector<double>& mass);
+
+/// Winner votes minus runner-up votes: 0 means a mass-broken tie.
+[[nodiscard]] std::size_t vote_margin(const std::vector<std::size_t>& votes);
+
 /// Packs per-walk vectors into a matrix (rows = vectors). Throws
 /// std::invalid_argument on ragged input.
 [[nodiscard]] math::Matrix pack_rows(

@@ -2,167 +2,39 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <span>
 #include <stdexcept>
 
-#include "cfg/labeling.h"
-#include "cfg/labeling_cache.h"
 #include "dataset/family.h"
-#include "features/ngram.h"
-#include "features/random_walk.h"
-#include "obs/trace.h"
-#include "store/feature_store.h"
 
 namespace soteria::core {
 
-/// Grow-only flat buffers for one in-flight analysis. Everything the
-/// interpreted path allocates per call (walk vectors, count rows,
-/// TF-IDF matrices, layer outputs) lives here and is reused.
-struct FrozenModel::Workspace {
-  std::vector<cfg::Label> walk;            ///< one walk's labels, reused
-  std::vector<std::uint32_t> counts;       ///< walks x dim, per labeling
-  std::vector<std::uint64_t> totals;       ///< per-walk window totals
-  std::vector<std::uint32_t> pooled_counts;
-  std::vector<float> dbl_rows;             ///< walks x dbl_dim TF-IDF
-  std::vector<float> lbl_rows;             ///< walks x lbl_dim TF-IDF
-  std::vector<float> pooled_in;            ///< detector input row
-  std::vector<float> recon;                ///< detector reconstruction
-  std::vector<float> probs;                ///< logits -> softmax in place
-  std::vector<std::size_t> votes;
-  std::vector<double> mass;
+namespace {
+
+/// Grow-only per-thread scratch for the compiled networks.
+struct Workspace {
+  std::vector<float> recon;  ///< detector reconstruction
+  std::vector<float> probs;  ///< logits -> softmax in place
   nn::FrozenNet::Scratch detector_scratch;
   nn::FrozenNet::Scratch dbl_scratch;
   nn::FrozenNet::Scratch lbl_scratch;
 };
 
-FrozenModel::Workspace& FrozenModel::workspace() {
+Workspace& workspace() {
   thread_local Workspace ws;
   return ws;
 }
 
-std::shared_ptr<const FrozenModel> FrozenModel::compile(
-    const features::FeaturePipeline& pipeline, const AeDetector& detector,
-    const FamilyClassifier& classifier) {
-  if (pipeline.fingerprint().value == 0) {
-    throw std::invalid_argument("FrozenModel: unfitted pipeline");
-  }
-  if (detector.residual_stddev().empty()) {
-    throw std::invalid_argument("FrozenModel: detector not calibrated");
-  }
-  std::shared_ptr<FrozenModel> model(new FrozenModel());
-  model->config_ = pipeline.config();
-  model->dbl_vocab_ = pipeline.dbl_vocabulary();
-  model->lbl_vocab_ = pipeline.lbl_vocabulary();
-  // Direct-mapped tables over the same grams in the same index order:
-  // dense TF rows come out identical to the perfect-hash path, only the
-  // per-window lookup gets cheaper.
-  model->dbl_table_ =
-      features::DirectGramTable::build(model->dbl_vocab_.grams());
-  model->lbl_table_ =
-      features::DirectGramTable::build(model->lbl_vocab_.grams());
-  model->fingerprint_ = pipeline.fingerprint().value;
-  model->residual_mean_ = detector.residual_mean();
-  model->residual_stddev_ = detector.residual_stddev();
-  model->threshold_ = detector.threshold();
-  model->detector_net_ = nn::FrozenNet::compile(
-      detector.model(), pipeline.combined_dimension());
-  model->dbl_net_ =
-      nn::FrozenNet::compile(classifier.dbl_model(), model->dbl_vocab_.size());
-  model->lbl_net_ =
-      nn::FrozenNet::compile(classifier.lbl_model(), model->lbl_vocab_.size());
-  return model;
-}
-
-void FrozenModel::extract_into(const cfg::Cfg& cfg, math::Rng& rng,
-                               cfg::LabelingCache* cache,
-                               Workspace& ws) const {
-  const obs::Span span("frozen.extract");
-  // Same labeling source and order as FeaturePipeline::labelings_for.
-  const cfg::NodeLabelings labelings =
-      cache != nullptr ? cache->labels(cfg, config_.labeling)
-                       : cfg::label_both(cfg, config_.labeling);
-  // A short label table must fail like the interpreted path's
-  // apply_labels (std::out_of_range), not index past the end below.
-  // Checked against node_count up front: any node can be walked, so
-  // this rejects exactly the labelings the interpreted path could
-  // throw on, just deterministically instead of per visited node.
-  if (labelings.dbl.size() < cfg.node_count() ||
-      labelings.lbl.size() < cfg.node_count()) {
-    throw std::out_of_range("apply_labels: node id beyond label table");
-  }
-
-  // One adjacency view serves both labelings (the interpreted path
-  // rebuilds it per labeled_walks call); the walk step count matches
-  // random_walk_nodes exactly.
-  const features::UndirectedView view(cfg);
-  const auto steps = static_cast<std::size_t>(std::llround(
-      config_.walk.length_multiplier * static_cast<double>(cfg.node_count())));
-  const std::size_t walks = config_.walk.walks_per_labeling;
-
-  const std::size_t dbl_dim = dbl_vocab_.size();
-  const std::size_t lbl_dim = lbl_vocab_.size();
-  ws.pooled_in.resize(dbl_dim + lbl_dim);
-
-  // Walk + count + TF-IDF for one labeling. The walk draws from `rng`
-  // in exactly random_walk_nodes's order (one draw per step with a
-  // non-empty neighbor list); counting consumes no randomness, so
-  // fusing it in changes nothing downstream.
-  const auto run_labeling = [&](const std::vector<cfg::Label>& labels,
-                                const features::Vocabulary& vocab,
-                                const features::DirectGramTable& table,
-                                std::vector<float>& rows, float* pooled_out) {
-    const std::size_t dim = vocab.size();
-    obs::registry().counter_add("soteria.features.walks", walks);
-    obs::registry().counter_add("soteria.features.walk_steps", walks * steps);
-    ws.counts.assign(walks * dim, 0);
-    ws.totals.assign(walks, 0);
-    ws.pooled_counts.assign(dim, 0);
-    std::uint64_t pooled_total = 0;
-    for (std::size_t w = 0; w < walks; ++w) {
-      ws.walk.clear();
-      ws.walk.reserve(steps + 1);
-      graph::NodeId current = view.entry();
-      ws.walk.push_back(labels[current]);
-      for (std::size_t s = 0; s < steps; ++s) {
-        const auto& nbrs = view.neighbors(current);
-        if (!nbrs.empty()) current = nbrs[rng.index(nbrs.size())];
-        ws.walk.push_back(labels[current]);
-      }
-      const std::span<std::uint32_t> row(ws.counts.data() + w * dim, dim);
-      ws.totals[w] = features::count_into_vocab(ws.walk, config_.gram_sizes,
-                                                table, row);
-      pooled_total += ws.totals[w];
-      for (std::size_t i = 0; i < dim; ++i) ws.pooled_counts[i] += row[i];
-    }
-    rows.resize(walks * dim);
-    for (std::size_t w = 0; w < walks; ++w) {
-      vocab.tfidf_into(
-          std::span<const std::uint32_t>(ws.counts.data() + w * dim, dim),
-          ws.totals[w], std::span<float>(rows.data() + w * dim, dim),
-          config_.l2_normalize);
-    }
-    vocab.tfidf_into(ws.pooled_counts, pooled_total,
-                     std::span<float>(pooled_out, dim), config_.l2_normalize);
-  };
-
-  // DBL walks first, then LBL — the interpreted extraction's stream
-  // order, so both paths consume identical rng draws.
-  run_labeling(labelings.dbl, dbl_vocab_, dbl_table_, ws.dbl_rows,
-               ws.pooled_in.data());
-  run_labeling(labelings.lbl, lbl_vocab_, lbl_table_, ws.lbl_rows,
-               ws.pooled_in.data() + dbl_dim);
-}
-
-void FrozenModel::accumulate(const nn::FrozenNet& net, const float* rows,
-                             std::size_t n, nn::FrozenNet::Scratch& scratch,
-                             Workspace& ws) const {
+/// Softmax + argmax voting over `n` rows of `net`: the frozen twin of
+/// FamilyClassifier::accumulate.
+void accumulate(const nn::FrozenNet& net, const float* rows, std::size_t n,
+                nn::FrozenNet::Scratch& scratch, std::vector<float>& probs,
+                std::vector<std::size_t>& votes, std::vector<double>& mass) {
   if (n == 0) return;
   const std::size_t classes = net.output_dim();
-  ws.probs.resize(n * classes);
-  net.infer_into(rows, n, ws.probs.data(), scratch);
+  probs.resize(n * classes);
+  net.infer_into(rows, n, probs.data(), scratch);
   for (std::size_t r = 0; r < n; ++r) {
-    float* row = ws.probs.data() + r * classes;
+    float* row = probs.data() + r * classes;
     // nn::softmax's row loop verbatim: float exp in iteration order,
     // double sum, one float reciprocal.
     const float max = *std::max_element(row, row + classes);
@@ -175,177 +47,65 @@ void FrozenModel::accumulate(const nn::FrozenNet& net, const float* rows,
     for (std::size_t c = 0; c < classes; ++c) row[c] *= inv;
     const auto best = static_cast<std::size_t>(
         std::max_element(row, row + classes) - row);
-    ++ws.votes[best];
-    for (std::size_t c = 0; c < classes; ++c) ws.mass[c] += row[c];
+    ++votes[best];
+    for (std::size_t c = 0; c < classes; ++c) mass[c] += row[c];
   }
-}
-
-namespace {
-
-/// Verbatim twins of the classifier's vote helpers.
-dataset::Family frozen_vote_winner(const std::vector<std::size_t>& votes,
-                                   const std::vector<double>& mass) {
-  std::size_t best = 0;
-  for (std::size_t c = 1; c < votes.size(); ++c) {
-    if (votes[c] > votes[best] ||
-        (votes[c] == votes[best] && mass[c] > mass[best])) {
-      best = c;
-    }
-  }
-  return dataset::family_from_index(best);
-}
-
-std::size_t frozen_vote_margin(const std::vector<std::size_t>& votes) {
-  std::size_t top = 0;
-  std::size_t second = 0;
-  for (const std::size_t v : votes) {
-    if (v > top) {
-      second = top;
-      top = v;
-    } else if (v > second) {
-      second = v;
-    }
-  }
-  return top - second;
 }
 
 }  // namespace
 
-Verdict FrozenModel::score(Workspace& ws, std::size_t dbl_walks,
-                           std::size_t lbl_walks) const {
-  Verdict verdict;
-
-  // Detector: AeDetector::scores' standardized-residual loop on the
-  // one pooled row, in double exactly as written there.
-  const std::size_t dim = residual_stddev_.size();
-  if (ws.pooled_in.size() != dim) {
-    throw std::invalid_argument("AeDetector::scores: width mismatch");
+std::shared_ptr<const FrozenModel> FrozenModel::compile(
+    const AeDetector& detector, const FamilyClassifier& classifier,
+    std::size_t dbl_dim, std::size_t lbl_dim) {
+  if (detector.residual_stddev().empty()) {
+    throw std::invalid_argument("FrozenModel: detector not calibrated");
   }
-  {
-    const obs::Span span("detector.score");
-    ws.recon.resize(detector_net_.output_dim());
-    detector_net_.infer_into(ws.pooled_in.data(), 1, ws.recon.data(),
-                             ws.detector_scratch);
-    double acc = 0.0;
-    for (std::size_t c = 0; c < dim; ++c) {
-      const double z = (static_cast<double>(ws.recon[c]) - ws.pooled_in[c] -
-                        residual_mean_[c]) /
-                       residual_stddev_[c];
-      acc += z * z;
-    }
-    const double sample_score = std::sqrt(acc / static_cast<double>(dim));
-    obs::registry().record("soteria.detector.score", sample_score);
-    // sample_error is math::mean over the single score: score / 1.0.
-    verdict.reconstruction_error = sample_score / 1.0;
+  if (detector.residual_mean().size() != dbl_dim + lbl_dim ||
+      detector.residual_stddev().size() != dbl_dim + lbl_dim) {
+    throw std::invalid_argument(
+        "FrozenModel: detector statistics do not match the feature width");
   }
-  verdict.adversarial = verdict.reconstruction_error > threshold_;
-
-  // Classifier: FamilyClassifier::predict's vote/mass accumulation over
-  // the flat per-walk rows (DBL model first, then LBL).
-  {
-    const obs::Span span("classifier.predict");
-    ws.votes.assign(dataset::kFamilyCount, 0);
-    ws.mass.assign(dataset::kFamilyCount, 0.0);
-    accumulate(dbl_net_, ws.dbl_rows.data(), dbl_walks, ws.dbl_scratch, ws);
-    accumulate(lbl_net_, ws.lbl_rows.data(), lbl_walks, ws.lbl_scratch, ws);
-    obs::registry().counter_add("soteria.classifier.predictions");
-    obs::registry().record(
-        "soteria.classifier.vote_margin",
-        static_cast<double>(frozen_vote_margin(ws.votes)));
-    verdict.predicted = frozen_vote_winner(ws.votes, ws.mass);
+  std::shared_ptr<FrozenModel> model(new FrozenModel());
+  model->residual_mean_ = detector.residual_mean();
+  model->residual_stddev_ = detector.residual_stddev();
+  model->detector_net_ =
+      nn::FrozenNet::compile(detector.model(), dbl_dim + lbl_dim);
+  if (model->detector_net_.output_dim() != dbl_dim + lbl_dim) {
+    throw std::invalid_argument(
+        "FrozenModel: detector does not reconstruct its input width");
   }
-
-  obs::registry().counter_add("soteria.detector.analyzed");
-  if (verdict.adversarial) {
-    obs::registry().counter_add("soteria.detector.flagged");
-  }
-  obs::registry().record("soteria.detector.sample_error",
-                         verdict.reconstruction_error);
-  return verdict;
+  model->dbl_net_ = nn::FrozenNet::compile(classifier.dbl_model(), dbl_dim);
+  model->lbl_net_ = nn::FrozenNet::compile(classifier.lbl_model(), lbl_dim);
+  return model;
 }
 
-Verdict FrozenModel::analyze(const cfg::Cfg& cfg, math::Rng& rng,
-                             cfg::LabelingCache* cache) const {
-  const obs::Span span("frozen.analyze");
+double FrozenModel::detector_score(const float* pooled) const {
   Workspace& ws = workspace();
-  extract_into(cfg, rng, cache, ws);
-  return score(ws, config_.walk.walks_per_labeling,
-               config_.walk.walks_per_labeling);
+  ws.recon.resize(detector_net_.output_dim());
+  detector_net_.infer_into(pooled, 1, ws.recon.data(), ws.detector_scratch);
+  // AeDetector::scores' standardized-residual loop on the one pooled
+  // row, in double exactly as written there.
+  const std::size_t dim = residual_stddev_.size();  // dbl_dim + lbl_dim
+  double acc = 0.0;
+  for (std::size_t c = 0; c < dim; ++c) {
+    const double z = (static_cast<double>(ws.recon[c]) - pooled[c] -
+                      residual_mean_[c]) /
+                     residual_stddev_[c];
+    acc += z * z;
+  }
+  // sample_error is math::mean over the single score: score / 1.0.
+  return std::sqrt(acc / static_cast<double>(dim)) / 1.0;
 }
 
-features::SampleFeatures FrozenModel::extract(const cfg::Cfg& cfg,
-                                              math::Rng& rng,
-                                              cfg::LabelingCache* cache) const {
+void FrozenModel::vote(const float* dbl_rows, std::size_t dbl_walks,
+                       const float* lbl_rows, std::size_t lbl_walks,
+                       std::vector<std::size_t>& votes,
+                       std::vector<double>& mass) const {
   Workspace& ws = workspace();
-  extract_into(cfg, rng, cache, ws);
-  const std::size_t walks = config_.walk.walks_per_labeling;
-  const std::size_t dbl_dim = dbl_vocab_.size();
-  const std::size_t lbl_dim = lbl_vocab_.size();
-  features::SampleFeatures features;
-  features.dbl.resize(walks);
-  features.lbl.resize(walks);
-  for (std::size_t w = 0; w < walks; ++w) {
-    features.dbl[w].assign(ws.dbl_rows.data() + w * dbl_dim,
-                           ws.dbl_rows.data() + (w + 1) * dbl_dim);
-    features.lbl[w].assign(ws.lbl_rows.data() + w * lbl_dim,
-                           ws.lbl_rows.data() + (w + 1) * lbl_dim);
-  }
-  features.pooled_dbl.assign(ws.pooled_in.data(),
-                             ws.pooled_in.data() + dbl_dim);
-  features.pooled_lbl.assign(ws.pooled_in.data() + dbl_dim,
-                             ws.pooled_in.data() + dbl_dim + lbl_dim);
-  return features;
-}
-
-Verdict FrozenModel::analyze_features(
-    const features::SampleFeatures& features) const {
-  // Same guard pooled_matrix raises before the interpreted detector
-  // ever runs.
-  if (features.pooled_dbl.empty() && features.pooled_lbl.empty()) {
-    throw std::invalid_argument("pooled_matrix: empty feature bundle");
-  }
-  Workspace& ws = workspace();
-  ws.pooled_in.resize(features.pooled_dbl.size() +
-                      features.pooled_lbl.size());
-  std::copy(features.pooled_dbl.begin(), features.pooled_dbl.end(),
-            ws.pooled_in.begin());
-  std::copy(features.pooled_lbl.begin(), features.pooled_lbl.end(),
-            ws.pooled_in.begin() + features.pooled_dbl.size());
-
-  const auto pack = [](const std::vector<std::vector<float>>& vecs,
-                       std::size_t width, std::vector<float>& flat) {
-    for (const auto& v : vecs) {
-      if (v.size() != width) {
-        throw std::invalid_argument("pack_rows: ragged vector widths");
-      }
-    }
-    flat.resize(vecs.size() * width);
-    for (std::size_t w = 0; w < vecs.size(); ++w) {
-      std::copy(vecs[w].begin(), vecs[w].end(), flat.data() + w * width);
-    }
-  };
-  pack(features.dbl, dbl_net_.input_dim(), ws.dbl_rows);
-  pack(features.lbl, lbl_net_.input_dim(), ws.lbl_rows);
-  return score(ws, features.dbl.size(), features.lbl.size());
-}
-
-Verdict FrozenModel::analyze_stored(const cfg::Cfg& cfg,
-                                    const math::Rng& fresh_rng,
-                                    cfg::LabelingCache* cache,
-                                    store::FeatureStore* store) const {
-  if (store == nullptr) {
-    math::Rng rng = fresh_rng;
-    return analyze(cfg, rng, cache);
-  }
-  // Identical key contract to FeaturePipeline::extract_stored, so the
-  // frozen and interpreted paths share (and populate) the same entries.
-  const store::FeatureKey key{cfg::LabelingCache::content_hash(cfg),
-                              fingerprint_, fresh_rng.seed()};
-  if (auto cached = store->get(key)) return analyze_features(*cached);
-  math::Rng rng = fresh_rng;
-  const features::SampleFeatures features = extract(cfg, rng, cache);
-  store->put(key, features);
-  return analyze_features(features);
+  accumulate(dbl_net_, dbl_rows, dbl_walks, ws.dbl_scratch, ws.probs, votes,
+             mass);
+  accumulate(lbl_net_, lbl_rows, lbl_walks, ws.lbl_scratch, ws.probs, votes,
+             mass);
 }
 
 }  // namespace soteria::core

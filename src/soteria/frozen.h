@@ -1,130 +1,65 @@
-// FrozenModel: the whole trained system — vocabulary perfect hashes,
-// IDF tables, detector residual statistics, and all three networks —
-// baked into one immutable fused extract+predict object.
+// FrozenModel: the trained detector and classifier compiled into
+// nn::FrozenNet op lists, plus the detector's residual statistics.
 //
-// Where SoteriaSystem::analyze walks the interpreted pipeline
-// (materialized walk vectors, per-walk TF-IDF allocations, a Matrix per
-// network layer), the frozen path runs the same arithmetic through
-// preallocated per-thread workspaces: walks are drawn and counted in
-// one pass over a single UndirectedView, TF-IDF rows land in flat
-// buffers, and the networks are nn::FrozenNet op lists. Every floating-
-// point operation happens in the same order as the interpreted path,
-// so verdicts are bit-identical (see tests/infer/frozen_identity_test).
+// SoteriaSystem builds one at train() and load() and runs every
+// analysis through it. The networks score the flat rows the fused
+// extractor writes (features::FeatureRows) in place, through per-thread
+// workspaces, instead of materializing a Matrix per layer. Every
+// floating-point operation happens in the same order as the
+// interpreted AeDetector / FamilyClassifier forward passes, so scores
+// are bit-identical to them (see tests/infer/frozen_identity_test).
 //
-// A FrozenModel is a snapshot: mutating the live system afterwards
-// (e.g. detector().set_alpha()) does not update it — call
-// SoteriaSystem::freeze() again. All state is immutable after compile,
-// so one instance may be shared freely across threads; per-call scratch
-// lives in thread_local workspaces.
+// All state is immutable after compile, so one instance may be shared
+// freely across threads. The detector threshold is not part of it: the
+// system reads it from the live detector, so detector().set_alpha()
+// takes effect without recompiling.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
 #include <vector>
 
-#include "features/pipeline.h"
-#include "features/vocabulary.h"
-#include "math/rng.h"
 #include "nn/frozen.h"
-#include "soteria/system.h"
-
-namespace soteria::cfg {
-class LabelingCache;
-}  // namespace soteria::cfg
-
-namespace soteria::store {
-class FeatureStore;
-}  // namespace soteria::store
+#include "soteria/classifier.h"
+#include "soteria/detector.h"
 
 namespace soteria::core {
 
 class FrozenModel {
  public:
-  /// Compiles a snapshot of the fitted pipeline, calibrated detector,
-  /// and trained classifier. Throws std::invalid_argument for an
-  /// unfitted pipeline, an uncalibrated detector, or a network layer
-  /// nn::FrozenNet cannot compile.
+  /// Compiles the calibrated detector and trained classifier for
+  /// `dbl_dim`- and `lbl_dim`-wide feature rows. Throws
+  /// std::invalid_argument for an uncalibrated detector or a network
+  /// layer nn::FrozenNet cannot compile.
   [[nodiscard]] static std::shared_ptr<const FrozenModel> compile(
-      const features::FeaturePipeline& pipeline, const AeDetector& detector,
-      const FamilyClassifier& classifier);
+      const AeDetector& detector, const FamilyClassifier& classifier,
+      std::size_t dbl_dim, std::size_t lbl_dim);
 
-  /// Fused cold analysis: walks draw from `rng` (advancing it exactly
-  /// like FeaturePipeline::extract), grams are counted into dense
-  /// vocabulary rows as the walk is taken, and the networks score the
-  /// flat rows in place. `cache` (nullable) serves the DBL/LBL
-  /// labelings like the pipeline's installed labeling cache.
-  [[nodiscard]] Verdict analyze(const cfg::Cfg& cfg, math::Rng& rng,
-                                cfg::LabelingCache* cache) const;
+  /// AeDetector::sample_error over one pooled row of
+  /// dbl_dim() + lbl_dim() floats: the RMS of the standardized
+  /// reconstruction residuals.
+  [[nodiscard]] double detector_score(const float* pooled) const;
 
-  /// Store-aware analysis with the same key contract as
-  /// FeaturePipeline::extract_stored: `fresh_rng` must be a fresh
-  /// (never-advanced) generator whose construction seed keys `store`.
-  /// A hit scores the cached bundle; a miss extracts (fused), stores
-  /// the bundle, then scores it. With a null store this is a plain
-  /// fused analysis.
-  [[nodiscard]] Verdict analyze_stored(const cfg::Cfg& cfg,
-                                       const math::Rng& fresh_rng,
-                                       cfg::LabelingCache* cache,
-                                       store::FeatureStore* store) const;
+  /// FamilyClassifier's vote over per-walk rows (DBL model first, then
+  /// LBL): adds one argmax vote per row to `votes` and the row's
+  /// softmax probabilities to `mass`, both kFamilyCount long.
+  void vote(const float* dbl_rows, std::size_t dbl_walks,
+            const float* lbl_rows, std::size_t lbl_walks,
+            std::vector<std::size_t>& votes, std::vector<double>& mass) const;
 
-  /// Detector + classifier over a pre-extracted bundle — the frozen
-  /// twin of SoteriaSystem::analyze_features, bit-identical to it.
-  [[nodiscard]] Verdict analyze_features(
-      const features::SampleFeatures& features) const;
-
-  /// Fused feature extraction materialized as a SampleFeatures bundle,
-  /// bit-identical to FeaturePipeline::extract with the same `rng`.
-  [[nodiscard]] features::SampleFeatures extract(
-      const cfg::Cfg& cfg, math::Rng& rng, cfg::LabelingCache* cache) const;
-
-  [[nodiscard]] const features::PipelineConfig& config() const noexcept {
-    return config_;
+  [[nodiscard]] std::size_t dbl_dim() const noexcept {
+    return dbl_net_.input_dim();
   }
-  [[nodiscard]] double threshold() const noexcept { return threshold_; }
-  [[nodiscard]] std::uint64_t fingerprint() const noexcept {
-    return fingerprint_;
+  [[nodiscard]] std::size_t lbl_dim() const noexcept {
+    return lbl_net_.input_dim();
   }
 
  private:
-  struct Workspace;
-
   FrozenModel() = default;
-
-  /// The per-thread scratch arena shared by all FrozenModel instances
-  /// (buffers are grow-only and sized per call).
-  [[nodiscard]] static Workspace& workspace();
-
-  /// Fused walk+count+TF-IDF into `ws` flat buffers (dbl_rows,
-  /// lbl_rows, pooled_in). Draws from `rng` in exactly the interpreted
-  /// extraction's order.
-  void extract_into(const cfg::Cfg& cfg, math::Rng& rng,
-                    cfg::LabelingCache* cache, Workspace& ws) const;
-
-  /// Scores `ws` (detector + voting classifier) over `dbl_walks` /
-  /// `lbl_walks` rows of the flat buffers.
-  [[nodiscard]] Verdict score(Workspace& ws, std::size_t dbl_walks,
-                              std::size_t lbl_walks) const;
-
-  /// Softmax + argmax voting over `rows` (n x net.output_dim), the
-  /// frozen twin of FamilyClassifier::accumulate.
-  void accumulate(const nn::FrozenNet& net, const float* rows, std::size_t n,
-                  nn::FrozenNet::Scratch& scratch, Workspace& ws) const;
-
-  features::PipelineConfig config_;
-  features::Vocabulary dbl_vocab_;
-  features::Vocabulary lbl_vocab_;
-  /// Freeze-time specialization of the vocabularies' compact perfect
-  /// hashes: oversized direct-mapped tables with a one-multiply probe,
-  /// index-compatible with the vocabularies (same dense TF layout).
-  features::DirectGramTable dbl_table_;
-  features::DirectGramTable lbl_table_;
-  std::uint64_t fingerprint_ = 0;
 
   nn::FrozenNet detector_net_;
   std::vector<double> residual_mean_;
   std::vector<double> residual_stddev_;
-  double threshold_ = 0.0;
-
   nn::FrozenNet dbl_net_;
   nn::FrozenNet lbl_net_;
 };

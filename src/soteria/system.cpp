@@ -168,16 +168,24 @@ SoteriaSystem SoteriaSystem::train(
             config.feature_store_dir, config.feature_store_capacity}));
   }
 
-  // 6. Compile the frozen fused model when the config routes analysis
-  //    through it. Runtime state like the store and the cache: not
-  //    persisted, rebuilt on demand via freeze().
-  if (config.use_frozen) system.freeze();
-
+  // 6. Compile the networks for analysis. Derived state: not
+  //    persisted, recompiled by load().
+  system.compile();
   return system;
 }
 
-void SoteriaSystem::freeze() {
-  frozen_ = FrozenModel::compile(pipeline_, detector_, classifier_);
+void SoteriaSystem::compile() {
+  frozen_ = FrozenModel::compile(detector_, classifier_,
+                                 pipeline_.dbl_vocabulary().size(),
+                                 pipeline_.lbl_vocabulary().size());
+}
+
+const FrozenModel& SoteriaSystem::model() const {
+  if (frozen_ == nullptr) {
+    throw Error(ErrorCode::kInvalidArgument,
+                "SoteriaSystem: untrained system");
+  }
+  return *frozen_;
 }
 
 features::SampleFeatures SoteriaSystem::extract(const cfg::Cfg& cfg,
@@ -185,17 +193,56 @@ features::SampleFeatures SoteriaSystem::extract(const cfg::Cfg& cfg,
   return pipeline_.extract(cfg, rng);
 }
 
-Verdict SoteriaSystem::analyze_features(
-    const features::SampleFeatures& features) const {
-  if (route_frozen(AnalyzeOptions{})) {
-    return frozen_->analyze_features(features);
+namespace {
+
+/// The calling thread's extraction rows for the analysis path.
+features::FeatureRows& thread_rows() {
+  thread_local features::FeatureRows rows;
+  return rows;
+}
+
+/// Rows the compiled networks can score: each labeling as wide as its
+/// CNN's input (the pooled row, their concatenation, then matches the
+/// detector's).
+void check_widths(const FrozenModel& model,
+                  const features::FeatureRows& rows) {
+  if (rows.dbl_dim != model.dbl_dim() || rows.lbl_dim != model.lbl_dim()) {
+    throw Error(ErrorCode::kInvalidArgument,
+                "SoteriaSystem: feature width mismatch");
   }
+}
+
+}  // namespace
+
+const features::FeatureRows& SoteriaSystem::rows_of(
+    const features::SampleFeatures& features) const {
+  features::FeatureRows& rows = thread_rows();
+  rows.assign(features);
+  return rows;
+}
+
+Verdict SoteriaSystem::verdict_of(const features::FeatureRows& rows) const {
+  const FrozenModel& compiled = model();
+  check_widths(compiled, rows);
   Verdict verdict;
-  verdict.reconstruction_error =
-      detector_.sample_error(pooled_matrix(features));
-  verdict.adversarial =
-      verdict.reconstruction_error > detector_.threshold();
-  verdict.predicted = classifier_.predict(features);
+  {
+    const obs::Span span("detector.score");
+    verdict.reconstruction_error = compiled.detector_score(rows.pooled.data());
+    obs::registry().record("soteria.detector.score",
+                           verdict.reconstruction_error);
+  }
+  verdict.adversarial = verdict.reconstruction_error > detector_.threshold();
+  {
+    const obs::Span span("classifier.predict");
+    std::vector<std::size_t> votes(dataset::kFamilyCount, 0);
+    std::vector<double> mass(dataset::kFamilyCount, 0.0);
+    compiled.vote(rows.dbl.data(), rows.dbl_walks, rows.lbl.data(),
+                  rows.lbl_walks, votes, mass);
+    obs::registry().counter_add("soteria.classifier.predictions");
+    obs::registry().record("soteria.classifier.vote_margin",
+                           static_cast<double>(vote_margin(votes)));
+    verdict.predicted = vote_winner(votes, mass);
+  }
   obs::registry().counter_add("soteria.detector.analyzed");
   if (verdict.adversarial) {
     obs::registry().counter_add("soteria.detector.flagged");
@@ -205,23 +252,41 @@ Verdict SoteriaSystem::analyze_features(
   return verdict;
 }
 
+Verdict SoteriaSystem::analyze_features(
+    const features::SampleFeatures& features) const {
+  return verdict_of(rows_of(features));
+}
+
 FeatureScores SoteriaSystem::score_features(
     const features::SampleFeatures& features) const {
+  const FrozenModel& compiled = model();
+  const features::FeatureRows& rows = rows_of(features);
+  check_widths(compiled, rows);
   FeatureScores scores;
-  scores.detector_score = detector_.sample_error(pooled_matrix(features));
+  scores.detector_score = compiled.detector_score(rows.pooled.data());
   scores.threshold = detector_.threshold();
   scores.adversarial = scores.detector_score > scores.threshold;
-  scores.votes = classifier_.vote_counts(features);
-  scores.predicted = classifier_.predict(features);
+  scores.votes.assign(dataset::kFamilyCount, 0);
+  std::vector<double> mass(dataset::kFamilyCount, 0.0);
+  compiled.vote(rows.dbl.data(), rows.dbl_walks, rows.lbl.data(),
+                rows.lbl_walks, scores.votes, mass);
+  scores.predicted = vote_winner(scores.votes, mass);
   return scores;
 }
 
 Verdict SoteriaSystem::analyze(const cfg::Cfg& cfg, math::Rng& rng) const {
   const obs::Span span("soteria.analyze");
-  if (route_frozen(AnalyzeOptions{})) {
-    return frozen_->analyze(cfg, rng, pipeline_.labeling_cache().get());
-  }
-  return analyze_features(extract(cfg, rng));
+  features::FeatureRows& rows = thread_rows();
+  pipeline_.extract_into(cfg, rng, rows);
+  return verdict_of(rows);
+}
+
+Verdict SoteriaSystem::analyze_stored(const cfg::Cfg& cfg,
+                                      const math::Rng& fresh_rng,
+                                      store::FeatureStore* store) const {
+  features::FeatureRows& rows = thread_rows();
+  pipeline_.extract_stored_into(cfg, fresh_rng, store, rows);
+  return verdict_of(rows);
 }
 
 Verdict SoteriaSystem::analyze(const cfg::Cfg& cfg,
@@ -229,17 +294,7 @@ Verdict SoteriaSystem::analyze(const cfg::Cfg& cfg,
                                const AnalyzeOptions& options) const {
   if (options.collect_metrics) obs::set_enabled(true);
   const obs::Span span("soteria.analyze");
-  if (route_frozen(options)) {
-    // Resolve the store exactly like extract_stored: per-call override
-    // first, then the pipeline's installed store.
-    store::FeatureStore* store = options.feature_store
-                                     ? options.feature_store.get()
-                                     : pipeline_.feature_store().get();
-    return frozen_->analyze_stored(cfg, fresh_rng,
-                                   pipeline_.labeling_cache().get(), store);
-  }
-  return analyze_features(pipeline_.extract_stored(
-      cfg, fresh_rng, options.feature_store.get()));
+  return analyze_stored(cfg, fresh_rng, options.feature_store.get());
 }
 
 Verdict SoteriaSystem::analyze_image(std::span<const std::uint8_t> bytes,
@@ -286,28 +341,14 @@ std::vector<Verdict> SoteriaSystem::analyze_batch(
       options.num_threads.value_or(config_.num_threads);
   const auto deadline = options.deadline;
   const obs::Span span("soteria.analyze_batch");
-  if (route_frozen(options)) {
-    cfg::LabelingCache* cache = pipeline_.labeling_cache().get();
-    store::FeatureStore* store = options.feature_store
-                                     ? options.feature_store.get()
-                                     : pipeline_.feature_store().get();
-    return runtime::parallel_map(
-        threads, cfgs.size(), [&](std::size_t i) {
-          if (deadline && std::chrono::steady_clock::now() >= *deadline) {
-            throw Error(ErrorCode::kDeadlineExceeded,
-                        "SoteriaSystem::analyze_batch: deadline exceeded");
-          }
-          return frozen_->analyze_stored(*cfgs[i], rngs[i], cache, store);
-        });
-  }
   return runtime::parallel_map(
       threads, cfgs.size(), [&](std::size_t i) {
         if (deadline && std::chrono::steady_clock::now() >= *deadline) {
           throw Error(ErrorCode::kDeadlineExceeded,
                       "SoteriaSystem::analyze_batch: deadline exceeded");
         }
-        return analyze_features(pipeline_.extract_stored(
-            *cfgs[i], rngs[i], options.feature_store.get()));
+        return analyze_stored(*cfgs[i], rngs[i],
+                              options.feature_store.get());
       });
 }
 
@@ -354,6 +395,7 @@ SoteriaSystem SoteriaSystem::load(std::istream& in) try {
   }
   system.detector_ = AeDetector::load(in);
   system.classifier_ = FamilyClassifier::load(in);
+  system.compile();
   return system;
 } catch (const Error&) {
   throw;

@@ -59,12 +59,6 @@ struct AnalyzeOptions {
   /// content, pipeline fingerprint, per-sample walk seed).
   std::shared_ptr<store::FeatureStore> feature_store;
 
-  /// Route this call through the frozen fused model when the system
-  /// has one (see SoteriaSystem::freeze). nullopt defers to
-  /// `config().use_frozen`; either way the flag is a no-op until
-  /// freeze() has run. Verdicts are bit-identical on both paths.
-  std::optional<bool> use_frozen;
-
   /// Front end used by analyze_image to decode the binary: a name from
   /// the built-in registry ("toy", "x86_64"), or empty / "auto" (the
   /// default) for magic-byte detection. Ignored by the CFG-taking
@@ -74,9 +68,9 @@ struct AnalyzeOptions {
 
 /// Full per-query view of what the fitted system thinks of one feature
 /// bundle — the oracle surface white-/gray-box attackers (attack::
-/// QueryOracle) optimize against. Everything here is derived from the
-/// same public detector/classifier calls a Verdict uses; exposing it in
-/// one struct just keeps attacker code from re-plumbing the pieces.
+/// QueryOracle) optimize against. Everything here comes from the same
+/// compiled networks a Verdict uses, in one pass; exposing it in one
+/// struct just keeps attacker code from re-plumbing the pieces.
 struct FeatureScores {
   double detector_score = 0.0;  ///< standardized-residual RMS
   double threshold = 0.0;       ///< detector threshold Th
@@ -90,8 +84,9 @@ struct FeatureScores {
 class SoteriaSystem {
  public:
   /// Trains the full system on clean training samples: fits the feature
-  /// pipeline, trains the detector on combined vectors, and trains the
-  /// two classifier CNNs on per-walk vectors. Feature extraction for
+  /// pipeline, trains the detector on combined vectors, trains the two
+  /// classifier CNNs on per-walk vectors, and compiles the networks
+  /// into the FrozenModel every analysis runs on. Feature extraction for
   /// training and calibration runs on `config.num_threads` threads;
   /// every sample draws from an RNG child keyed by its index, so the
   /// trained system is bit-identical at any thread count. Throws
@@ -126,14 +121,16 @@ class SoteriaSystem {
                                       const AnalyzeOptions& options = {}) const;
 
   /// Runs detector + classifier on pre-extracted features. Safe for
-  /// concurrent callers.
+  /// concurrent callers. Throws Error{kInvalidArgument} for an empty or
+  /// ragged bundle or one whose widths do not match the model.
   [[nodiscard]] Verdict analyze_features(
       const features::SampleFeatures& features) const;
 
   /// Detector score, threshold, and full vote tally for one feature
-  /// bundle (see FeatureScores). Safe for concurrent callers; does not
-  /// touch the observability registry (attackers probing the system
-  /// should not inflate its own analysis counters).
+  /// bundle (see FeatureScores), from one pass of each network. Safe
+  /// for concurrent callers; does not touch the observability registry
+  /// (attackers probing the system should not inflate its own analysis
+  /// counters). Same errors as analyze_features.
   [[nodiscard]] FeatureScores score_features(
       const features::SampleFeatures& features) const;
 
@@ -181,25 +178,10 @@ class SoteriaSystem {
     return config_;
   }
 
-  /// Compiles (or refreshes) the frozen fused extract+predict snapshot
-  /// of the current pipeline/detector/classifier. Analysis uses it
-  /// when `config().use_frozen` (or AnalyzeOptions::use_frozen) says
-  /// so; train() calls this automatically under that flag. Call again
-  /// after mutating components (e.g. detector().set_alpha()) — the
-  /// snapshot is immutable and does not track them. Throws
-  /// std::invalid_argument on an untrained system.
-  void freeze();
-
-  /// The current snapshot; null until freeze() has run. Immutable and
-  /// safe to share across threads.
-  [[nodiscard]] const std::shared_ptr<const FrozenModel>& frozen()
-      const noexcept {
-    return frozen_;
-  }
-
   /// Binary (de)serialization of the whole trained system (config,
-  /// vocabularies, detector, classifier). `load` throws
-  /// Error{kCorruptModel} (a std::runtime_error) on a corrupt stream.
+  /// vocabularies, detector, classifier). `load` recompiles the
+  /// FrozenModel and throws Error{kCorruptModel} (a std::runtime_error)
+  /// on a corrupt stream.
   void save(std::ostream& out) const;
   [[nodiscard]] static SoteriaSystem load(std::istream& in);
 
@@ -213,18 +195,34 @@ class SoteriaSystem {
   SoteriaSystem() = default;
 
  private:
-  /// True when this call should take the frozen path.
-  [[nodiscard]] bool route_frozen(const AnalyzeOptions& options) const {
-    return options.use_frozen.value_or(config_.use_frozen) &&
-           frozen_ != nullptr;
-  }
+  /// Compiles detector_ and classifier_ into frozen_ (train and load).
+  void compile();
+
+  /// The compiled model; throws Error{kInvalidArgument} on an untrained
+  /// (default-constructed) system.
+  [[nodiscard]] const FrozenModel& model() const;
+
+  /// Store-aware single-sample analysis shared by analyze and
+  /// analyze_batch (`store` overrides the installed one when non-null).
+  [[nodiscard]] Verdict analyze_stored(const cfg::Cfg& cfg,
+                                       const math::Rng& fresh_rng,
+                                       store::FeatureStore* store) const;
+
+  /// Detector + classifier over flat rows, with the analysis spans and
+  /// metrics. Throws Error{kInvalidArgument} when the widths do not
+  /// match the model.
+  [[nodiscard]] Verdict verdict_of(const features::FeatureRows& rows) const;
+
+  /// Copies a bundle into the calling thread's rows.
+  [[nodiscard]] const features::FeatureRows& rows_of(
+      const features::SampleFeatures& features) const;
 
   SoteriaConfig config_;
   features::FeaturePipeline pipeline_;
   AeDetector detector_;
   FamilyClassifier classifier_;
-  /// Compiled snapshot (freeze()); shared so copies of the system stay
-  /// cheap and a mid-analysis re-freeze never invalidates readers.
+  /// Compiled at train()/load(); shared so copies of the system stay
+  /// cheap. Immutable, like everything a const analysis reads.
   std::shared_ptr<const FrozenModel> frozen_;
 };
 

@@ -14,7 +14,10 @@
 #include "cfg/labeling_cache.h"
 #include "dataset/generator.h"
 #include "features/pipeline.h"
+#include "frontend/frontend.h"
+#include "infer/naive_features.h"
 #include "isa/assembler.h"
+#include "loader/elf.h"
 #include "loader/elf_writer.h"
 #include "soteria/presets.h"
 #include "soteria/system.h"
@@ -127,18 +130,19 @@ TEST_F(FrontendE2E, MalformedImagesAreTypedErrors) {
   }
 }
 
+// Bytes to verdict through the compiled path equals the reference
+// oracle (map-based extraction + interpreted networks) on the CFG the
+// front end decodes.
 TEST_F(FrontendE2E, FrozenPathBitIdentical) {
-  system->freeze();
   const auto& sample = binary_sample();
-  AnalyzeOptions interpreted;
-  interpreted.use_frozen = false;
-  AnalyzeOptions frozen;
-  frozen.use_frozen = true;
-  const Verdict a =
-      system->analyze_image(sample.binary, math::Rng(77), interpreted);
-  const Verdict b =
-      system->analyze_image(sample.binary, math::Rng(77), frozen);
-  expect_same_verdict(a, b);
+  const Verdict compiled = system->analyze_image(sample.binary, math::Rng(77));
+  const loader::Image image = loader::load_image(sample.binary);
+  const cfg::Cfg decoded =
+      frontend::resolve_frontend(frontend::FrontendRegistry::builtin(), image,
+                                 "")
+          .extract(image);
+  math::Rng rng(77);
+  expect_same_verdict(compiled, reference_analyze(*system, decoded, rng));
 }
 
 TEST_F(FrontendE2E, TrainedSystemRecordsFrontend) {

@@ -1,6 +1,6 @@
 // Bitwise-identity contracts of the blocked kernels: the cache-blocked
 // GEMM (matmul / matmul_at) and the direct conv1d kernel must produce
-// exactly the bytes of the preserved naive references for finite
+// exactly the bytes of the naive references (naive_kernels.h) for finite
 // inputs, because every per-output accumulation runs the same
 // statement over k in the same ascending order. Shapes deliberately
 // straddle the block (256) and row-unroll (4) boundaries.
@@ -10,6 +10,7 @@
 #include <cstring>
 #include <vector>
 
+#include "infer/naive_kernels.h"
 #include "math/matrix.h"
 #include "math/rng.h"
 #include "nn/conv1d.h"

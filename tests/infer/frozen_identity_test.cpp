@@ -1,23 +1,28 @@
-// The frozen fused model's whole-system identity contract: FrozenNet
-// must reproduce Sequential::infer bit-for-bit, and a frozen
-// SoteriaSystem must emit verdicts bitwise-identical to the
-// interpreted path — across thread counts, with and without the
-// feature store, and through every analyze entry point. Scores are
-// compared with EXPECT_EQ on the doubles: the documented tolerance is
-// 0 ulp, because the fused path replicates the interpreted arithmetic
-// operation for operation.
+// The compiled analysis path's whole-system identity contract:
+// FrozenNet must reproduce Sequential::infer bit-for-bit, and
+// SoteriaSystem (fused extraction + compiled networks) must emit
+// verdicts bitwise-identical to the reference oracle in
+// naive_features.h (map-based extraction + interpreted networks) —
+// across thread counts, with and without the feature store, and
+// through every analyze entry point. Scores are compared with
+// EXPECT_EQ on the doubles: the documented tolerance is 0 ulp, because
+// the compiled path replicates the reference arithmetic operation for
+// operation.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <sstream>
 #include <vector>
 
 #include "dataset/generator.h"
+#include "infer/naive_features.h"
 #include "math/rng.h"
 #include "nn/autoencoder.h"
 #include "nn/cnn.h"
 #include "nn/frozen.h"
-#include "soteria/frozen.h"
+#include "soteria/error.h"
 #include "soteria/presets.h"
 #include "soteria/system.h"
 #include "store/feature_store.h"
@@ -86,15 +91,41 @@ TEST(FrozenNetTest, ScratchIsReusableAcrossBatchSizes) {
   }
 }
 
+void expect_same_verdict(const Verdict& a, const Verdict& b,
+                         std::size_t sample) {
+  EXPECT_EQ(a.adversarial, b.adversarial) << "sample " << sample;
+  EXPECT_EQ(a.predicted, b.predicted) << "sample " << sample;
+  EXPECT_EQ(a.reconstruction_error, b.reconstruction_error)
+      << "sample " << sample;
+}
+
 void expect_same_verdicts(const std::vector<Verdict>& a,
                           const std::vector<Verdict>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].adversarial, b[i].adversarial) << "sample " << i;
-    EXPECT_EQ(a[i].predicted, b[i].predicted) << "sample " << i;
-    EXPECT_EQ(a[i].reconstruction_error, b[i].reconstruction_error)
-        << "sample " << i;
+    expect_same_verdict(a[i], b[i], i);
   }
+}
+
+void expect_same_features(const features::SampleFeatures& a,
+                          const features::SampleFeatures& b) {
+  ASSERT_EQ(a.dbl.size(), b.dbl.size());
+  ASSERT_EQ(a.lbl.size(), b.lbl.size());
+  for (std::size_t w = 0; w < a.dbl.size(); ++w) {
+    EXPECT_EQ(a.dbl[w], b.dbl[w]) << "dbl walk " << w;
+    EXPECT_EQ(a.lbl[w], b.lbl[w]) << "lbl walk " << w;
+  }
+  EXPECT_EQ(a.pooled_dbl, b.pooled_dbl);
+  EXPECT_EQ(a.pooled_lbl, b.pooled_lbl);
+}
+
+ErrorCode error_code_of(const std::function<void()>& call) {
+  try {
+    call();
+  } catch (const Error& e) {
+    return e.code();
+  }
+  return ErrorCode::kOk;
 }
 
 // One tiny trained system for the whole suite (training dominates).
@@ -107,7 +138,6 @@ struct FrozenSystemFixture : public ::testing::Test {
     SoteriaConfig config = tiny_config();
     config.seed = 71;
     system = new SoteriaSystem(SoteriaSystem::train(data->train, config));
-    system->freeze();
   }
   static void TearDownTestSuite() {
     delete system;
@@ -124,19 +154,23 @@ struct FrozenSystemFixture : public ::testing::Test {
     return cfgs;
   }
 
-  [[nodiscard]] static AnalyzeOptions frozen_options(std::size_t threads) {
+  [[nodiscard]] static AnalyzeOptions with_threads(std::size_t threads) {
     AnalyzeOptions options;
     options.num_threads = threads;
-    options.use_frozen = true;
     return options;
   }
 
-  [[nodiscard]] static AnalyzeOptions interpreted_options(
-      std::size_t threads) {
-    AnalyzeOptions options;
-    options.num_threads = threads;
-    options.use_frozen = false;
-    return options;
+  /// The oracle for analyze_batch(cfgs, rng): sample i through the
+  /// reference path with walks from rng.child(i).
+  [[nodiscard]] static std::vector<Verdict> reference_batch(
+      const SoteriaSystem& model, const std::vector<cfg::Cfg>& cfgs,
+      const math::Rng& rng) {
+    std::vector<Verdict> verdicts;
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+      math::Rng sample_rng = rng.child(i);
+      verdicts.push_back(reference_analyze(model, cfgs[i], sample_rng));
+    }
+    return verdicts;
   }
 
   static dataset::Dataset* data;
@@ -150,95 +184,91 @@ TEST_F(FrozenSystemFixture, BatchVerdictsMatchInterpretedAtAnyThreadCount) {
   const auto cfgs = test_cfgs(10);
   ASSERT_FALSE(cfgs.empty());
   const math::Rng rng(73);
-  const auto interpreted =
-      system->analyze_batch(cfgs, rng, interpreted_options(1));
+  const auto reference = reference_batch(*system, cfgs, rng);
   for (const std::size_t threads : {1U, 2U, 4U}) {
-    const auto frozen =
-        system->analyze_batch(cfgs, rng, frozen_options(threads));
-    expect_same_verdicts(frozen, interpreted);
+    expect_same_verdicts(
+        system->analyze_batch(cfgs, rng, with_threads(threads)), reference);
   }
 }
 
 TEST_F(FrozenSystemFixture, SingleSampleAnalyzeMatchesInterpreted) {
   const auto cfgs = test_cfgs(4);
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
-    math::Rng interpreted_rng(75 + i);
-    math::Rng frozen_rng(75 + i);
-    // Same system object: route via per-call options only.
-    const auto interpreted =
-        system->analyze(cfgs[i], interpreted_rng, interpreted_options(1));
-    const auto frozen =
-        system->analyze(cfgs[i], frozen_rng, frozen_options(1));
-    EXPECT_EQ(frozen.adversarial, interpreted.adversarial);
-    EXPECT_EQ(frozen.predicted, interpreted.predicted);
-    EXPECT_EQ(frozen.reconstruction_error, interpreted.reconstruction_error);
+    const math::Rng fresh(75 + i);
+    math::Rng reference_rng = fresh;
+    expect_same_verdict(system->analyze(cfgs[i], fresh, with_threads(1)),
+                        reference_analyze(*system, cfgs[i], reference_rng),
+                        i);
   }
 }
 
 TEST_F(FrozenSystemFixture, AdvancingRngAnalyzeMatchesAndAdvancesEqually) {
   const auto cfgs = test_cfgs(3);
-  // config().use_frozen is false on this system, so analyze(cfg, rng&)
-  // takes the interpreted path; the snapshot must consume the stream
-  // identically and agree bitwise.
-  const std::shared_ptr<const FrozenModel> snapshot = system->frozen();
-  ASSERT_NE(snapshot, nullptr);
-  for (const auto& cfg : cfgs) {
-    math::Rng interpreted_rng(77);
-    math::Rng frozen_rng(77);
-    const auto interpreted = system->analyze(cfg, interpreted_rng);
-    const auto frozen = snapshot->analyze(
-        cfg, frozen_rng, system->pipeline().labeling_cache().get());
-    EXPECT_EQ(frozen.reconstruction_error, interpreted.reconstruction_error);
-    EXPECT_EQ(frozen.predicted, interpreted.predicted);
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    math::Rng reference_rng(77);
+    math::Rng rng(77);
+    expect_same_verdict(system->analyze(cfgs[i], rng),
+                        reference_analyze(*system, cfgs[i], reference_rng),
+                        i);
     // Both paths drew exactly the same walk stream.
-    EXPECT_EQ(interpreted_rng.engine()(), frozen_rng.engine()());
+    EXPECT_EQ(reference_rng.engine()(), rng.engine()());
   }
 }
 
 TEST_F(FrozenSystemFixture, ExtractMatchesPipelineBitwise) {
   const auto cfgs = test_cfgs(3);
   for (const auto& cfg : cfgs) {
-    math::Rng pipeline_rng(79);
-    math::Rng frozen_rng(79);
-    const auto interpreted = system->pipeline().extract(cfg, pipeline_rng);
-    const auto fused = system->frozen()->extract(
-        cfg, frozen_rng, system->pipeline().labeling_cache().get());
-    ASSERT_EQ(fused.dbl.size(), interpreted.dbl.size());
-    ASSERT_EQ(fused.lbl.size(), interpreted.lbl.size());
-    for (std::size_t w = 0; w < fused.dbl.size(); ++w) {
-      EXPECT_EQ(fused.dbl[w], interpreted.dbl[w]) << "dbl walk " << w;
-      EXPECT_EQ(fused.lbl[w], interpreted.lbl[w]) << "lbl walk " << w;
-    }
-    EXPECT_EQ(fused.pooled_dbl, interpreted.pooled_dbl);
-    EXPECT_EQ(fused.pooled_lbl, interpreted.pooled_lbl);
+    math::Rng reference_rng(79);
+    math::Rng rng(79);
+    expect_same_features(
+        system->pipeline().extract(cfg, rng),
+        features::reference_extract(system->pipeline(), cfg, reference_rng));
+    EXPECT_EQ(reference_rng.engine()(), rng.engine()());
   }
 }
 
 TEST_F(FrozenSystemFixture, AnalyzeFeaturesMatchesInterpreted) {
   const auto cfgs = test_cfgs(3);
-  for (const auto& cfg : cfgs) {
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
     math::Rng rng(81);
-    const auto features = system->pipeline().extract(cfg, rng);
-    const auto interpreted = system->analyze_features(features);
-    const auto frozen = system->frozen()->analyze_features(features);
-    EXPECT_EQ(frozen.adversarial, interpreted.adversarial);
-    EXPECT_EQ(frozen.predicted, interpreted.predicted);
-    EXPECT_EQ(frozen.reconstruction_error, interpreted.reconstruction_error);
+    const auto features = system->pipeline().extract(cfgs[i], rng);
+    expect_same_verdict(system->analyze_features(features),
+                        reference_verdict(*system, features), i);
+  }
+}
+
+// score_features runs each network once; its votes and prediction
+// must equal the classifier's two separate interpreted calls.
+TEST_F(FrozenSystemFixture, ScoreFeaturesMatchesTwoCallComposition) {
+  const auto cfgs = test_cfgs(6);
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    math::Rng rng(89 + i);
+    const auto features = system->pipeline().extract(cfgs[i], rng);
+    const FeatureScores scores = system->score_features(features);
+    EXPECT_EQ(scores.votes, system->classifier().vote_counts(features))
+        << "sample " << i;
+    EXPECT_EQ(scores.predicted, system->classifier().predict(features))
+        << "sample " << i;
+    EXPECT_EQ(scores.detector_score,
+              system->detector().sample_error(pooled_matrix(features)));
+    EXPECT_EQ(scores.threshold, system->detector().threshold());
+    EXPECT_EQ(scores.adversarial, scores.detector_score > scores.threshold);
   }
 }
 
 TEST_F(FrozenSystemFixture, StoreOnAndOffAreIdenticalThroughFrozenPath) {
   const auto cfgs = test_cfgs(6);
   const math::Rng rng(83);
-  const auto baseline = system->analyze_batch(cfgs, rng, frozen_options(1));
+  const auto baseline = system->analyze_batch(cfgs, rng, with_threads(1));
+  expect_same_verdicts(baseline, reference_batch(*system, cfgs, rng));
 
   auto store = std::make_shared<store::FeatureStore>(
       store::StoreConfig{testing::TempDir() + "frozen_identity_store", 64});
-  AnalyzeOptions with_store = frozen_options(2);
+  AnalyzeOptions with_store = with_threads(2);
   with_store.feature_store = store;
   // Cold pass populates the store; warm pass serves every sample from
-  // it. Both must match the storeless frozen verdicts bitwise — and
-  // the warm pass must actually hit.
+  // it. Both must match the storeless verdicts bitwise — and the warm
+  // pass must actually hit.
   const auto cold = system->analyze_batch(cfgs, rng, with_store);
   expect_same_verdicts(cold, baseline);
   const auto stats_after_cold = store->stats();
@@ -247,41 +277,71 @@ TEST_F(FrozenSystemFixture, StoreOnAndOffAreIdenticalThroughFrozenPath) {
   const auto stats_after_warm = store->stats();
   EXPECT_EQ(stats_after_warm.hits, stats_after_cold.hits + cfgs.size());
 
-  // The frozen path writes entries the interpreted path can read.
-  AnalyzeOptions interpreted_with_store = interpreted_options(1);
-  interpreted_with_store.feature_store = store;
-  const auto interpreted =
-      system->analyze_batch(cfgs, rng, interpreted_with_store);
-  expect_same_verdicts(interpreted, baseline);
+  // The entries analysis wrote are the bundles extract_stored serves,
+  // and the interpreted networks reach the same verdicts on them.
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    const auto features =
+        system->pipeline().extract_stored(cfgs[i], rng.child(i), store.get());
+    expect_same_verdict(reference_verdict(*system, features), baseline[i], i);
+  }
+  EXPECT_EQ(store->stats().hits, stats_after_warm.hits + cfgs.size());
 }
 
-TEST_F(FrozenSystemFixture, TrainCompilesSnapshotUnderConfigFlag) {
-  SoteriaConfig config = tiny_config();
-  config.seed = 71;
-  config.use_frozen = true;
-  const SoteriaSystem trained = SoteriaSystem::train(data->train, config);
-  ASSERT_NE(trained.frozen(), nullptr);
-  // Default-routed (config-level) frozen analysis agrees with this
-  // suite's explicitly-frozen system.
+TEST_F(FrozenSystemFixture, TrainedAndLoadedSystemsAgree) {
+  std::stringstream buffer;
+  system->save(buffer);
+  const SoteriaSystem loaded = SoteriaSystem::load(buffer);
   const auto cfgs = test_cfgs(4);
   const math::Rng rng(85);
-  const auto defaulted = trained.analyze_batch(cfgs, rng, AnalyzeOptions{});
-  const auto explicit_frozen =
-      system->analyze_batch(cfgs, rng, frozen_options(1));
-  expect_same_verdicts(defaulted, explicit_frozen);
+  expect_same_verdicts(loaded.analyze_batch(cfgs, rng, with_threads(1)),
+                       system->analyze_batch(cfgs, rng, with_threads(1)));
 }
 
-TEST_F(FrozenSystemFixture, FreezeIsRequiredForRouting) {
-  SoteriaConfig config = tiny_config();
-  config.seed = 71;
-  const SoteriaSystem unfrozen = SoteriaSystem::train(data->train, config);
-  ASSERT_EQ(unfrozen.frozen(), nullptr);
-  // use_frozen without a snapshot is a no-op, not an error.
-  const auto cfgs = test_cfgs(2);
+TEST_F(FrozenSystemFixture, AlphaChangeTakesEffectWithoutRecompiling) {
+  std::stringstream buffer;
+  system->save(buffer);
+  SoteriaSystem strict = SoteriaSystem::load(buffer);
+  strict.detector().set_alpha(0.0);
+  const auto cfgs = test_cfgs(6);
   const math::Rng rng(87);
-  const auto a = unfrozen.analyze_batch(cfgs, rng, frozen_options(1));
-  const auto b = unfrozen.analyze_batch(cfgs, rng, interpreted_options(1));
-  expect_same_verdicts(a, b);
+  const auto verdicts = strict.analyze_batch(cfgs, rng, with_threads(1));
+  expect_same_verdicts(verdicts, reference_batch(strict, cfgs, rng));
+  for (const auto& cfg : cfgs) {
+    math::Rng feature_rng(88);
+    const auto scores =
+        strict.score_features(strict.pipeline().extract(cfg, feature_rng));
+    EXPECT_EQ(scores.threshold, strict.detector().threshold());
+  }
+}
+
+TEST_F(FrozenSystemFixture, MalformedBundlesAreTypedErrors) {
+  math::Rng rng(91);
+  const auto good = system->pipeline().extract(test_cfgs(1).front(), rng);
+
+  const features::SampleFeatures empty;
+  EXPECT_EQ(error_code_of([&] { (void)system->analyze_features(empty); }),
+            ErrorCode::kInvalidArgument);
+
+  features::SampleFeatures ragged = good;
+  ragged.dbl.back().push_back(0.0F);
+  EXPECT_EQ(error_code_of([&] { (void)system->score_features(ragged); }),
+            ErrorCode::kInvalidArgument);
+
+  features::SampleFeatures short_pooled = good;
+  short_pooled.pooled_lbl.pop_back();
+  EXPECT_EQ(
+      error_code_of([&] { (void)system->analyze_features(short_pooled); }),
+      ErrorCode::kInvalidArgument);
+
+  // Self-consistent but narrower than the model.
+  features::SampleFeatures narrow = short_pooled;
+  for (auto& row : narrow.lbl) row.pop_back();
+  EXPECT_EQ(error_code_of([&] { (void)system->analyze_features(narrow); }),
+            ErrorCode::kInvalidArgument);
+
+  const SoteriaSystem untrained;
+  EXPECT_EQ(error_code_of([&] { (void)untrained.analyze_features(good); }),
+            ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -1,0 +1,148 @@
+// The map-based feature extraction the fused extractor replaced,
+// preserved as the reference oracle for FeaturePipeline::extract_into
+// and the compiled analysis path:
+//
+//   labeled_walks (DBL, then LBL) -> count_grams into an unordered_map
+//   per walk -> map TF-IDF against the vocabulary -> interpreted
+//   AeDetector / FamilyClassifier forward passes.
+//
+// tests/infer/frozen_identity_test and tests/frontend/end_to_end_test
+// pin the library's verdicts to reference_verdict at 0 ulp, and
+// bench/perf_infer times these functions as its before-side.
+//
+// Do not "improve" this file — its value is being the slow, obviously
+// correct formulation. TF-IDF here is computed independently of
+// Vocabulary::tfidf_into, with the same float operations in the same
+// order per slot, so the two agree bit for bit.
+#pragma once
+
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "cfg/labeling.h"
+#include "cfg/labeling_cache.h"
+#include "features/ngram.h"
+#include "features/pipeline.h"
+#include "features/random_walk.h"
+#include "features/vocabulary.h"
+#include "math/rng.h"
+#include "soteria/system.h"
+
+namespace soteria::features {
+
+/// Per-window pack_gram + map counting: the oracle for the rolling
+/// counters (count_grams, FlatGramCounter, count_into_vocab).
+inline void count_grams_reference(std::span<const cfg::Label> walk,
+                                  std::span<const std::size_t> sizes,
+                                  GramCounts& counts) {
+  for (std::size_t n : sizes) {
+    if (n == 0 || n > kMaxGramLength) {
+      throw std::invalid_argument("count_grams: gram size " +
+                                  std::to_string(n) + " outside [1, " +
+                                  std::to_string(kMaxGramLength) + "]");
+    }
+    if (walk.size() < n) continue;
+    for (std::size_t i = 0; i + n <= walk.size(); ++i) {
+      counts[pack_gram(walk.subspan(i, n))] += 1;
+    }
+  }
+}
+
+/// TF-IDF of one gram map against `vocab`: tf = count / total over all
+/// grams (in vocabulary or not), times the float-narrowed IDF, then
+/// optional L2 normalization.
+inline std::vector<float> tfidf_reference(const Vocabulary& vocab,
+                                          const GramCounts& counts,
+                                          bool l2_normalize) {
+  std::vector<float> out(vocab.size(), 0.0F);
+  const std::uint64_t total = total_occurrences(counts);
+  if (total == 0) return out;
+  const float inv_total = 1.0F / static_cast<float>(total);
+  for (const auto& [key, count] : counts) {
+    const auto idx = vocab.index_of(key);
+    if (!idx) continue;
+    out[*idx] = (static_cast<float>(count) * inv_total) *
+                static_cast<float>(vocab.idf()[*idx]);
+  }
+  if (l2_normalize) {
+    float norm_sq = 0.0F;
+    for (float x : out) norm_sq += x * x;
+    if (norm_sq > 0.0F) {
+      const float inv = 1.0F / std::sqrt(norm_sq);
+      for (float& x : out) x *= inv;
+    }
+  }
+  return out;
+}
+
+/// One labeling's walks -> per-walk TF-IDF rows and the pooled row.
+inline void reference_labeling(const FeaturePipeline& pipeline,
+                               const cfg::Cfg& cfg,
+                               const std::vector<cfg::Label>& labels,
+                               const Vocabulary& vocab, math::Rng& rng,
+                               std::vector<std::vector<float>>& rows,
+                               std::vector<float>& pooled) {
+  const PipelineConfig& config = pipeline.config();
+  const auto walks = labeled_walks(cfg, labels, config.walk, rng);
+  // Reserved as the map-based extractor did: a walk yields several
+  // hundred distinct grams, and growing through the default rehash
+  // ladder costs more than the counting.
+  GramCounts pooled_counts;
+  pooled_counts.reserve(4096);
+  for (const auto& walk : walks) {
+    GramCounts counts;
+    counts.reserve(2048);
+    count_grams(walk, config.gram_sizes, counts);
+    for (const auto& [key, count] : counts) pooled_counts[key] += count;
+    rows.push_back(tfidf_reference(vocab, counts, config.l2_normalize));
+  }
+  pooled = tfidf_reference(vocab, pooled_counts, config.l2_normalize);
+}
+
+/// FeaturePipeline::extract the map-based way: same labelings, same
+/// walk draws from `rng` (all DBL walks, then all LBL walks).
+inline SampleFeatures reference_extract(const FeaturePipeline& pipeline,
+                                        const cfg::Cfg& cfg, math::Rng& rng) {
+  const cfg::NodeLabelings labelings =
+      pipeline.labeling_cache()
+          ? pipeline.labeling_cache()->labels(cfg, pipeline.config().labeling)
+          : cfg::label_both(cfg, pipeline.config().labeling);
+  SampleFeatures features;
+  reference_labeling(pipeline, cfg, labelings.dbl, pipeline.dbl_vocabulary(),
+                     rng, features.dbl, features.pooled_dbl);
+  reference_labeling(pipeline, cfg, labelings.lbl, pipeline.lbl_vocabulary(),
+                     rng, features.lbl, features.pooled_lbl);
+  return features;
+}
+
+}  // namespace soteria::features
+
+namespace soteria::core {
+
+/// A verdict through the interpreted networks (nn::Sequential forward
+/// passes) over a given bundle.
+inline Verdict reference_verdict(const SoteriaSystem& system,
+                                 const features::SampleFeatures& features) {
+  Verdict verdict;
+  verdict.reconstruction_error =
+      system.detector().sample_error(pooled_matrix(features));
+  verdict.adversarial =
+      verdict.reconstruction_error > system.detector().threshold();
+  verdict.predicted = system.classifier().predict(features);
+  return verdict;
+}
+
+/// SoteriaSystem::analyze the reference way: map-based extraction with
+/// walks from `rng`, then the interpreted networks.
+inline Verdict reference_analyze(const SoteriaSystem& system,
+                                 const cfg::Cfg& cfg, math::Rng& rng) {
+  return reference_verdict(
+      system, features::reference_extract(system.pipeline(), cfg, rng));
+}
+
+}  // namespace soteria::core

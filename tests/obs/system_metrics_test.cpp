@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -194,6 +195,47 @@ TEST_F(ObsSystemFixture, AggregationIsThreadCountInvariant) {
       }
     }
   }
+}
+
+// One bytes-to-verdict call names exactly the single analysis path's
+// stages: decoding, then extraction (walk+count fused under
+// features.ngrams, then TF-IDF), the detector and the classifier.
+TEST_F(ObsSystemFixture, AnalyzeImageSpansNameTheSinglePath) {
+  const dataset::Sample* sample = nullptr;
+  for (const auto& s : data->test) {
+    if (!s.binary.empty()) {
+      sample = &s;
+      break;
+    }
+  }
+  ASSERT_NE(sample, nullptr);
+  // Warm the labeling cache first so the traced call's span set does
+  // not depend on whether this CFG was labeled before.
+  (void)system->analyze_image(sample->binary, math::Rng(5));
+
+  obs::registry().reset();
+  obs::set_enabled(true);
+  (void)system->analyze_image(sample->binary, math::Rng(5));
+  obs::set_enabled(false);
+  const auto snap = obs::registry().snapshot();
+
+  std::set<std::string> spans;
+  for (const auto& [name, data] : snap.histograms) {
+    if (is_span(name)) {
+      spans.insert(name);
+      EXPECT_EQ(data.count, 1U) << name;
+    }
+  }
+  const std::set<std::string> expected = {
+      "t/cfg.extract",
+      "t/soteria.analyze",
+      "t/soteria.analyze/pipeline.extract",
+      "t/soteria.analyze/pipeline.extract/features.ngrams",
+      "t/soteria.analyze/pipeline.extract/features.tfidf",
+      "t/soteria.analyze/detector.score",
+      "t/soteria.analyze/classifier.predict",
+  };
+  EXPECT_EQ(spans, expected);
 }
 
 TEST_F(ObsSystemFixture, DisabledRegistryRecordsNothingDuringAnalysis) {
