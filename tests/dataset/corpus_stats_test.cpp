@@ -37,12 +37,16 @@ TEST_P(CorpusStats, NodeCountsStayInFamilyRange) {
   EXPECT_GE(math::min(nodes), 8.0);  // generator's rejection floor
 }
 
+// Static so the padding after `family` is zero: gtest prints the raw
+// bytes of the parameter into each test's registered name, and stack
+// temporaries left run-to-run addresses there.
+constexpr FamilyBounds kBounds[] = {{Family::kBenign, 40, 260, 700},
+                                    {Family::kGafgyt, 30, 180, 600},
+                                    {Family::kMirai, 40, 260, 700},
+                                    {Family::kTsunami, 15, 160, 500}};
+
 INSTANTIATE_TEST_SUITE_P(
-    Families, CorpusStats,
-    ::testing::Values(FamilyBounds{Family::kBenign, 40, 260, 700},
-                      FamilyBounds{Family::kGafgyt, 30, 180, 600},
-                      FamilyBounds{Family::kMirai, 40, 260, 700},
-                      FamilyBounds{Family::kTsunami, 15, 160, 500}),
+    Families, CorpusStats, ::testing::ValuesIn(kBounds),
     [](const auto& info) { return family_name(info.param.family); });
 
 TEST(CorpusStats, StrainMatesShareSize) {
