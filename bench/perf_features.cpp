@@ -67,8 +67,11 @@ void BM_GramCounting(benchmark::State& state) {
   const auto walks =
       features::labeled_walks(cfg, labels, features::WalkConfig{}, rng);
   const std::vector<std::size_t> sizes{1, 2, 3, 4};
+  features::FlatGramCounter counter;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(features::count_grams(walks, sizes));
+    counter.clear();
+    for (const auto& walk : walks) counter.count_walk(walk, sizes);
+    benchmark::DoNotOptimize(counter.total());
   }
 }
 BENCHMARK(BM_GramCounting);

@@ -6,20 +6,25 @@
 #include <utility>
 
 #include "math/rng.h"
+#include "soteria/error.h"
 
 namespace soteria::features {
 
 namespace {
 
 [[noreturn]] void throw_bad_size(std::size_t n) {
-  throw std::invalid_argument("count_grams: gram size " + std::to_string(n) +
+  throw std::invalid_argument("gram size " + std::to_string(n) +
                               " outside [1, " +
                               std::to_string(kMaxGramLength) + "]");
 }
 
+/// A label too large to pack: the CFG has more nodes than a gram key
+/// can name (untrusted input, so a typed error).
 [[noreturn]] void throw_bad_label(cfg::Label label) {
-  throw std::invalid_argument("count_grams: label " + std::to_string(label) +
-                              " exceeds kMaxGramLabel");
+  throw core::Error(core::ErrorCode::kOutOfRange,
+                    "gram label " + std::to_string(label) +
+                        " exceeds kMaxGramLabel " +
+                        std::to_string(kMaxGramLabel));
 }
 
 void validate_sizes(std::span<const std::size_t> sizes) {
@@ -106,15 +111,6 @@ void roll_walk(std::span<const cfg::Label> walk,
   }
 }
 
-void count_grams_prevalidated(std::span<const cfg::Label> walk,
-                              std::span<const std::size_t> sizes,
-                              GramCounts& counts) {
-  validate_walk(walk, sizes);
-  roll_walk(walk, sizes, [&counts](GramKey key, std::uint32_t mult) {
-    counts[key] += mult;
-  });
-}
-
 /// Probe hash decorrelated from the raw key bits (which are highly
 /// structured: small labels in fixed fields).
 inline std::size_t probe_hash(GramKey key) noexcept {
@@ -132,11 +128,7 @@ GramKey pack_gram(std::span<const cfg::Label> labels) {
   }
   GramKey key = static_cast<std::uint64_t>(labels.size()) << kGramLengthShift;
   for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (labels[i] > kMaxGramLabel) {
-      throw std::invalid_argument("pack_gram: label " +
-                                  std::to_string(labels[i]) +
-                                  " exceeds kMaxGramLabel");
-    }
+    if (labels[i] > kMaxGramLabel) throw_bad_label(labels[i]);
     key |= static_cast<std::uint64_t>(labels[i]) << (kGramLabelBits * i);
   }
   return key;
@@ -154,22 +146,6 @@ std::vector<cfg::Label> unpack_gram(GramKey key) {
 
 std::size_t gram_length(GramKey key) noexcept {
   return static_cast<std::size_t>(key >> kGramLengthShift);
-}
-
-void count_grams(std::span<const cfg::Label> walk,
-                 std::span<const std::size_t> sizes, GramCounts& counts) {
-  validate_sizes(sizes);
-  count_grams_prevalidated(walk, sizes, counts);
-}
-
-GramCounts count_grams(const std::vector<std::vector<cfg::Label>>& walks,
-                       std::span<const std::size_t> sizes) {
-  validate_sizes(sizes);
-  GramCounts counts;
-  for (const auto& walk : walks) {
-    count_grams_prevalidated(walk, sizes, counts);
-  }
-  return counts;
 }
 
 std::uint64_t total_occurrences(const GramCounts& counts) {

@@ -10,9 +10,8 @@
 //     resolved through the fitted vocabulary's DirectGramTable,
 //     accumulating straight into a dense TF vector (no intermediate
 //     map at all);
-//   - FlatGramCounter / count_grams: the same rolling update into an
-//     open-addressing table or a std::unordered_map, for fit(), where
-//     the vocabulary does not exist yet.
+//   - FlatGramCounter: the same rolling update into an open-addressing
+//     table, for fit(), where the vocabulary does not exist yet.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +50,8 @@ inline constexpr std::uint64_t kGramLengthShift =
     kGramLabelBits * kMaxGramLength;  // 56
 
 /// Packs `labels` (1..4 entries, each <= kMaxGramLabel) into a key.
-/// Throws std::invalid_argument on violation.
+/// Throws std::invalid_argument for a bad length and
+/// core::Error{kOutOfRange} for a label above kMaxGramLabel.
 [[nodiscard]] GramKey pack_gram(std::span<const cfg::Label> labels);
 
 /// Reverses pack_gram.
@@ -59,20 +59,6 @@ inline constexpr std::uint64_t kGramLengthShift =
 
 /// Gram length stored in a key.
 [[nodiscard]] std::size_t gram_length(GramKey key) noexcept;
-
-/// Counts all grams of each size in `sizes` over one walk trace,
-/// accumulating into `counts`. Throws std::invalid_argument for a size
-/// of 0 or > kMaxGramLength, or for a walk label > kMaxGramLabel when
-/// at least one size produces windows. Validation is hoisted out of
-/// the window loop; the loop itself is one shift+or+mask per step.
-void count_grams(std::span<const cfg::Label> walk,
-                 std::span<const std::size_t> sizes, GramCounts& counts);
-
-/// Convenience: counts over many walks into a fresh map. `sizes` is
-/// validated once, not per walk.
-[[nodiscard]] GramCounts count_grams(
-    const std::vector<std::vector<cfg::Label>>& walks,
-    std::span<const std::size_t> sizes);
 
 /// Total number of gram occurrences recorded in `counts`.
 [[nodiscard]] std::uint64_t total_occurrences(const GramCounts& counts);
@@ -98,8 +84,12 @@ class FlatGramCounter {
   /// gram, i.e. non-zero).
   void add(GramKey key, std::uint32_t count);
 
-  /// Counts all grams of each size over one walk via the rolling
-  /// update. Same validation contract as count_grams.
+  /// Counts all grams of each size in `sizes` over one walk trace via
+  /// the rolling update. Throws std::invalid_argument for a size of 0
+  /// or > kMaxGramLength, and core::Error{kOutOfRange} for a walk label
+  /// > kMaxGramLabel when at least one size produces windows.
+  /// Validation is hoisted out of the window loop; the loop itself is
+  /// one shift+or+mask per step.
   void count_walk(std::span<const cfg::Label> walk,
                   std::span<const std::size_t> sizes);
 
@@ -179,7 +169,7 @@ class DirectGramTable {
 /// `counts` vector (counts.size() must equal table.size()). Returns the
 /// total number of windows — which equals total_occurrences of the
 /// full (unfiltered) gram map, since every window yields exactly one
-/// gram. Same validation contract as count_grams.
+/// gram. Same validation contract as FlatGramCounter::count_walk.
 std::uint64_t count_into_vocab(std::span<const cfg::Label> walk,
                                std::span<const std::size_t> sizes,
                                const DirectGramTable& table,

@@ -63,13 +63,6 @@ std::vector<float> mean_of(const std::vector<std::vector<float>>& vecs) {
 std::vector<float> SampleFeatures::mean_dbl() const { return mean_of(dbl); }
 std::vector<float> SampleFeatures::mean_lbl() const { return mean_of(lbl); }
 
-std::vector<float> SampleFeatures::mean_combined() const {
-  std::vector<float> mean = mean_dbl();
-  const auto lbl_mean = mean_lbl();
-  mean.insert(mean.end(), lbl_mean.begin(), lbl_mean.end());
-  return mean;
-}
-
 std::vector<float> SampleFeatures::pooled_combined() const {
   std::vector<float> vec = pooled_dbl;
   vec.insert(vec.end(), pooled_lbl.begin(), pooled_lbl.end());

@@ -85,9 +85,6 @@ struct SampleFeatures {
   /// pooled_dbl ++ pooled_lbl: the 1x1000 detector input (paper Fig. 5).
   [[nodiscard]] std::vector<float> pooled_combined() const;
 
-  /// Mean of all per-walk combined vectors (used for PCA plots).
-  [[nodiscard]] std::vector<float> mean_combined() const;
-
   /// Mean per-labeling vectors.
   [[nodiscard]] std::vector<float> mean_dbl() const;
   [[nodiscard]] std::vector<float> mean_lbl() const;

@@ -1,6 +1,12 @@
 // FrozenNet: a fitted Sequential compiled into a flat op list with
 // preallocated ping-pong scratch — zero allocation per inference call.
 //
+// It is the only network the library scores with: AeDetector and
+// FamilyClassifier compile their own at train and load, and every
+// score, vote and calibration pass runs it. Sequential::infer remains
+// as the building block of training's forward pass and as the
+// reference the test oracle (tests/infer/naive_features.h) calls.
+//
 // Compilation copies every layer's weights into contiguous op records
 // and resolves all shapes once, so infer_into is a straight walk over
 // the ops driving the same raw kernels Layer::infer uses

@@ -1,10 +1,11 @@
 #include "soteria/classifier.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "io/binary_io.h"
-#include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "obs/trace.h"
 
@@ -73,6 +74,58 @@ nn::CnnConfig load_cnn_arch(std::istream& in) {
   return arch;
 }
 
+/// Grow-only per-thread scratch for the compiled CNNs.
+struct Workspace {
+  std::vector<float> probs;  ///< logits -> softmax in place
+  nn::FrozenNet::Scratch dbl_scratch;
+  nn::FrozenNet::Scratch lbl_scratch;
+};
+
+Workspace& workspace() {
+  thread_local Workspace ws;
+  return ws;
+}
+
+/// Softmax + argmax voting over `n` rows of `net`.
+void accumulate(const nn::FrozenNet& net, const float* rows, std::size_t n,
+                nn::FrozenNet::Scratch& scratch, std::vector<float>& probs,
+                std::vector<std::size_t>& votes, std::vector<double>& mass) {
+  if (n == 0) return;
+  const std::size_t classes = net.output_dim();
+  probs.resize(n * classes);
+  net.infer_into(rows, n, probs.data(), scratch);
+  for (std::size_t r = 0; r < n; ++r) {
+    float* row = probs.data() + r * classes;
+    // nn::softmax's row loop: float exp in iteration order, double sum,
+    // one float reciprocal.
+    const float max = *std::max_element(row, row + classes);
+    double sum = 0.0;
+    for (std::size_t c = 0; c < classes; ++c) {
+      row[c] = std::exp(row[c] - max);
+      sum += row[c];
+    }
+    const auto inv = static_cast<float>(1.0 / sum);
+    for (std::size_t c = 0; c < classes; ++c) row[c] *= inv;
+    const auto best = static_cast<std::size_t>(
+        std::max_element(row, row + classes) - row);
+    ++votes[best];
+    for (std::size_t c = 0; c < classes; ++c) mass[c] += row[c];
+  }
+}
+
+/// A bundle's per-walk vectors as `width`-wide rows (none when empty).
+math::Matrix packed_rows(const std::vector<std::vector<float>>& vectors,
+                         std::size_t width) {
+  if (vectors.empty()) return math::Matrix(0, width);
+  math::Matrix rows = pack_rows(vectors);
+  if (rows.cols() != width) {
+    throw std::invalid_argument("FamilyClassifier: vector width " +
+                                std::to_string(rows.cols()) + " != " +
+                                std::to_string(width));
+  }
+  return rows;
+}
+
 }  // namespace
 
 FamilyClassifier FamilyClassifier::train(const LabeledVectors& dbl,
@@ -89,7 +142,13 @@ FamilyClassifier FamilyClassifier::train(const LabeledVectors& dbl,
   classifier.lbl_model_ =
       train_one(lbl, config, training, learning_rate, rng,
                 classifier.lbl_report_, classifier.lbl_arch_);
+  classifier.compile();
   return classifier;
+}
+
+void FamilyClassifier::compile() {
+  dbl_net_ = nn::FrozenNet::compile(dbl_model_, dbl_arch_.input_length);
+  lbl_net_ = nn::FrozenNet::compile(lbl_model_, lbl_arch_.input_length);
 }
 
 void FamilyClassifier::save(std::ostream& out) const {
@@ -108,35 +167,39 @@ FamilyClassifier FamilyClassifier::load(std::istream& in) {
   classifier.lbl_model_ = nn::build_cnn(classifier.lbl_arch_, scratch);
   classifier.dbl_model_.load_parameters(in);
   classifier.lbl_model_.load_parameters(in);
+  classifier.compile();
   return classifier;
 }
 
-void FamilyClassifier::accumulate(
-    const nn::Sequential& model,
-    const std::vector<std::vector<float>>& vectors,
-    std::vector<std::size_t>& votes,
-    std::vector<double>& probability_mass) const {
-  if (vectors.empty()) return;
-  const math::Matrix batch = pack_rows(vectors);
-  const math::Matrix probs = nn::softmax(model.infer(batch));
-  for (std::size_t r = 0; r < probs.rows(); ++r) {
-    const auto row = probs.row(r);
-    const auto best = static_cast<std::size_t>(
-        std::max_element(row.begin(), row.end()) - row.begin());
-    ++votes[best];
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      probability_mass[c] += row[c];
-    }
+void FamilyClassifier::vote(const float* dbl_rows, std::size_t dbl_walks,
+                            const float* lbl_rows, std::size_t lbl_walks,
+                            std::vector<std::size_t>& votes,
+                            std::vector<double>& mass) const {
+  Workspace& ws = workspace();
+  accumulate(dbl_net_, dbl_rows, dbl_walks, ws.dbl_scratch, ws.probs, votes,
+             mass);
+  accumulate(lbl_net_, lbl_rows, lbl_walks, ws.lbl_scratch, ws.probs, votes,
+             mass);
+}
+
+FamilyClassifier::Tally FamilyClassifier::tally(
+    const std::vector<std::vector<float>>& dbl,
+    const std::vector<std::vector<float>>& lbl) const {
+  if (!dbl_net_.compiled()) {
+    throw std::logic_error("FamilyClassifier: not trained");
   }
+  const math::Matrix dbl_rows = packed_rows(dbl, dbl_dim());
+  const math::Matrix lbl_rows = packed_rows(lbl, lbl_dim());
+  Tally result{std::vector<std::size_t>(dataset::kFamilyCount, 0),
+               std::vector<double>(dataset::kFamilyCount, 0.0)};
+  vote(dbl_rows.data().data(), dbl_rows.rows(), lbl_rows.data().data(),
+       lbl_rows.rows(), result.votes, result.mass);
+  return result;
 }
 
 std::vector<std::size_t> FamilyClassifier::vote_counts(
     const features::SampleFeatures& features) const {
-  std::vector<std::size_t> votes(dataset::kFamilyCount, 0);
-  std::vector<double> mass(dataset::kFamilyCount, 0.0);
-  accumulate(dbl_model_, features.dbl, votes, mass);
-  accumulate(lbl_model_, features.lbl, votes, mass);
-  return votes;
+  return tally(features.dbl, features.lbl).votes;
 }
 
 dataset::Family vote_winner(const std::vector<std::size_t>& votes,
@@ -168,40 +231,23 @@ std::size_t vote_margin(const std::vector<std::size_t>& votes) {
 dataset::Family FamilyClassifier::predict(
     const features::SampleFeatures& features) const {
   const obs::Span span("classifier.predict");
-  std::vector<std::size_t> votes(dataset::kFamilyCount, 0);
-  std::vector<double> mass(dataset::kFamilyCount, 0.0);
-  accumulate(dbl_model_, features.dbl, votes, mass);
-  accumulate(lbl_model_, features.lbl, votes, mass);
+  const Tally result = tally(features.dbl, features.lbl);
   obs::registry().counter_add("soteria.classifier.predictions");
   obs::registry().record("soteria.classifier.vote_margin",
-                         static_cast<double>(vote_margin(votes)));
-  return vote_winner(votes, mass);
+                         static_cast<double>(vote_margin(result.votes)));
+  return vote_winner(result.votes, result.mass);
 }
 
 dataset::Family FamilyClassifier::predict_dbl_only(
     const features::SampleFeatures& features) const {
-  std::vector<std::size_t> votes(dataset::kFamilyCount, 0);
-  std::vector<double> mass(dataset::kFamilyCount, 0.0);
-  accumulate(dbl_model_, features.dbl, votes, mass);
-  return vote_winner(votes, mass);
+  const Tally result = tally(features.dbl, {});
+  return vote_winner(result.votes, result.mass);
 }
 
 dataset::Family FamilyClassifier::predict_lbl_only(
     const features::SampleFeatures& features) const {
-  std::vector<std::size_t> votes(dataset::kFamilyCount, 0);
-  std::vector<double> mass(dataset::kFamilyCount, 0.0);
-  accumulate(lbl_model_, features.lbl, votes, mass);
-  return vote_winner(votes, mass);
-}
-
-std::vector<std::size_t> FamilyClassifier::predict_dbl(
-    const math::Matrix& vectors) const {
-  return nn::argmax_rows(dbl_model_.infer(vectors));
-}
-
-std::vector<std::size_t> FamilyClassifier::predict_lbl(
-    const math::Matrix& vectors) const {
-  return nn::argmax_rows(lbl_model_.infer(vectors));
+  const Tally result = tally({}, features.lbl);
+  return vote_winner(result.votes, result.mass);
 }
 
 }  // namespace soteria::core

@@ -2,11 +2,15 @@
 // over DBL feature vectors, one over LBL — with majority voting across
 // all per-walk vectors. The class with the most argmax votes wins; vote
 // ties are broken by summed softmax probability.
+//
+// train() and load() compile both CNNs into nn::FrozenNet op lists, and
+// every prediction and vote tally runs those compiled nets. The
+// interpreted formulation survives only as the test oracle
+// (tests/infer/naive_features.h), which they match at 0 ulp.
 #pragma once
 
 #include <cstddef>
 #include <iosfwd>
-#include <span>
 #include <vector>
 
 #include "dataset/family.h"
@@ -14,6 +18,7 @@
 #include "math/matrix.h"
 #include "math/rng.h"
 #include "nn/cnn.h"
+#include "nn/frozen.h"
 #include "nn/sequential.h"
 #include "nn/trainer.h"
 
@@ -38,20 +43,16 @@ class FamilyClassifier {
                                 double learning_rate, math::Rng& rng);
 
   /// Majority-vote prediction over a sample's full feature bundle.
-  /// Const and safe for concurrent callers (uses the models'
-  /// thread-safe inference path).
+  /// Const and safe for concurrent callers. Throws std::logic_error on
+  /// an untrained classifier and std::invalid_argument on ragged or
+  /// mis-sized vectors (also for vote_counts and the single-model
+  /// predictions below).
   [[nodiscard]] dataset::Family predict(
       const features::SampleFeatures& features) const;
 
   /// Vote tally per class for diagnostics (same order as Family).
   [[nodiscard]] std::vector<std::size_t> vote_counts(
       const features::SampleFeatures& features) const;
-
-  /// Single-model batch predictions (rows = per-walk vectors).
-  [[nodiscard]] std::vector<std::size_t> predict_dbl(
-      const math::Matrix& vectors) const;
-  [[nodiscard]] std::vector<std::size_t> predict_lbl(
-      const math::Matrix& vectors) const;
 
   /// Single-model per-sample prediction: majority vote within one
   /// labeling only (used for the Table VII ablation columns).
@@ -60,23 +61,42 @@ class FamilyClassifier {
   [[nodiscard]] dataset::Family predict_lbl_only(
       const features::SampleFeatures& features) const;
 
+  /// The vote primitive every prediction runs: adds one argmax vote per
+  /// row and the row's softmax probabilities to `votes` / `mass` (both
+  /// kFamilyCount long), over `dbl_walks` dbl_dim()-wide rows through
+  /// the compiled DBL CNN, then `lbl_walks` lbl_dim()-wide rows through
+  /// the LBL CNN. Unchecked and obs-free; the caller guarantees a
+  /// trained classifier and the row widths. Safe for concurrent
+  /// callers (per-thread scratch).
+  void vote(const float* dbl_rows, std::size_t dbl_walks,
+            const float* lbl_rows, std::size_t lbl_walks,
+            std::vector<std::size_t>& votes, std::vector<double>& mass) const;
+
+  /// Per-walk row widths of the two CNNs (0 when untrained).
+  [[nodiscard]] std::size_t dbl_dim() const noexcept {
+    return dbl_net_.input_dim();
+  }
+  [[nodiscard]] std::size_t lbl_dim() const noexcept {
+    return lbl_net_.input_dim();
+  }
+
   [[nodiscard]] const nn::TrainReport& dbl_report() const noexcept {
     return dbl_report_;
   }
   [[nodiscard]] const nn::TrainReport& lbl_report() const noexcept {
     return lbl_report_;
   }
-  [[nodiscard]] nn::Sequential& dbl_model() noexcept { return dbl_model_; }
+  /// The trained CNNs. Read-only: scoring runs their compiled copies,
+  /// which nothing may get out of step with.
   [[nodiscard]] const nn::Sequential& dbl_model() const noexcept {
     return dbl_model_;
   }
-  [[nodiscard]] nn::Sequential& lbl_model() noexcept { return lbl_model_; }
   [[nodiscard]] const nn::Sequential& lbl_model() const noexcept {
     return lbl_model_;
   }
 
-  /// Binary (de)serialization of both CNNs. `load` throws
-  /// std::runtime_error on a corrupt stream.
+  /// Binary (de)serialization of both CNNs. `load` recompiles them and
+  /// throws std::runtime_error on a corrupt stream.
   void save(std::ostream& out) const;
   [[nodiscard]] static FamilyClassifier load(std::istream& in);
 
@@ -85,17 +105,27 @@ class FamilyClassifier {
   FamilyClassifier() = default;
 
  private:
-  /// Accumulates votes and probability mass from one model over a set
-  /// of vectors.
-  void accumulate(const nn::Sequential& model,
-                  const std::vector<std::vector<float>>& vectors,
-                  std::vector<std::size_t>& votes,
-                  std::vector<double>& probability_mass) const;
+  /// Vote tally and summed softmax mass per class.
+  struct Tally {
+    std::vector<std::size_t> votes;
+    std::vector<double> mass;
+  };
+
+  /// The checked entry behind predict and its variants: votes over
+  /// per-walk vectors, `dbl` through the DBL CNN and `lbl` through the
+  /// LBL CNN.
+  [[nodiscard]] Tally tally(const std::vector<std::vector<float>>& dbl,
+                            const std::vector<std::vector<float>>& lbl) const;
+
+  /// Compiles both CNNs for their architectures' input widths.
+  void compile();
 
   nn::CnnConfig dbl_arch_;  ///< architectures actually built
   nn::CnnConfig lbl_arch_;
   nn::Sequential dbl_model_;
   nn::Sequential lbl_model_;
+  nn::FrozenNet dbl_net_;  ///< compiled at train/load; runs all scoring
+  nn::FrozenNet lbl_net_;
   nn::TrainReport dbl_report_;
   nn::TrainReport lbl_report_;
 };

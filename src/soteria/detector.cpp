@@ -5,11 +5,25 @@
 
 #include "io/binary_io.h"
 #include "math/stats.h"
-#include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "obs/trace.h"
 
 namespace soteria::core {
+
+namespace {
+
+/// Grow-only per-thread scratch for the compiled autoencoder.
+struct Workspace {
+  std::vector<float> recon;
+  nn::FrozenNet::Scratch scratch;
+};
+
+Workspace& workspace() {
+  thread_local Workspace ws;
+  return ws;
+}
+
+}  // namespace
 
 AeDetector AeDetector::train(const math::Matrix& clean_features,
                              const math::Matrix& calibration_features,
@@ -46,32 +60,28 @@ AeDetector AeDetector::train(const math::Matrix& clean_features,
                                           clean_features, optimizer,
                                           training, rng);
 
-  // Calibration split A: per-dimension residual statistics.
+  detector.net_ = nn::FrozenNet::compile(detector.model_, arch.input_dim);
+
+  // Calibration split A (the first half of the rows): per-dimension
+  // residual statistics.
   const std::size_t dim = clean_features.cols();
   const std::size_t half = calibration_features.rows() / 2;
-  const math::Matrix part_a = nn::gather_rows(
-      calibration_features, [&] {
-        std::vector<std::size_t> idx(half);
-        for (std::size_t i = 0; i < half; ++i) idx[i] = i;
-        return idx;
-      }());
-  const math::Matrix reconstructed_a = detector.model_.infer(part_a);
+  const float* part_a = calibration_features.data().data();
+  std::vector<float> reconstructed_a(half * dim);
+  nn::FrozenNet::Scratch scratch;
+  detector.net_.infer_into(part_a, half, reconstructed_a.data(), scratch);
   detector.residual_mean_.assign(dim, 0.0);
   detector.residual_stddev_.assign(dim, 0.0);
-  for (std::size_t r = 0; r < part_a.rows(); ++r) {
-    for (std::size_t c = 0; c < dim; ++c) {
-      detector.residual_mean_[c] +=
-          static_cast<double>(reconstructed_a(r, c)) - part_a(r, c);
-    }
+  for (std::size_t i = 0; i < half * dim; ++i) {
+    detector.residual_mean_[i % dim] +=
+        static_cast<double>(reconstructed_a[i]) - part_a[i];
   }
-  const auto n_a = static_cast<double>(part_a.rows());
+  const auto n_a = static_cast<double>(half);
   for (double& v : detector.residual_mean_) v /= n_a;
-  for (std::size_t r = 0; r < part_a.rows(); ++r) {
-    for (std::size_t c = 0; c < dim; ++c) {
-      const double d = static_cast<double>(reconstructed_a(r, c)) -
-                       part_a(r, c) - detector.residual_mean_[c];
-      detector.residual_stddev_[c] += d * d;
-    }
+  for (std::size_t i = 0; i < half * dim; ++i) {
+    const double d = static_cast<double>(reconstructed_a[i]) - part_a[i] -
+                     detector.residual_mean_[i % dim];
+    detector.residual_stddev_[i % dim] += d * d;
   }
   for (double& v : detector.residual_stddev_) {
     v = std::sqrt(v / n_a) + 1e-6;
@@ -103,35 +113,42 @@ AeDetector AeDetector::train(const math::Matrix& clean_features,
   return detector;
 }
 
-std::vector<double> AeDetector::scores(
-    const math::Matrix& features) const {
-  if (residual_stddev_.empty()) {
-    throw std::logic_error("AeDetector::scores: detector not calibrated");
-  }
-  if (features.cols() != residual_stddev_.size()) {
-    throw std::invalid_argument("AeDetector::scores: width mismatch");
-  }
-  const obs::Span span("detector.score");
-  const math::Matrix reconstructed = model_.infer(features);
-  std::vector<double> out(features.rows(), 0.0);
-  for (std::size_t r = 0; r < features.rows(); ++r) {
+void AeDetector::score_rows(const float* rows, std::size_t n,
+                            double* out) const {
+  if (n == 0) return;
+  const std::size_t dim = net_.input_dim();
+  Workspace& ws = workspace();
+  ws.recon.resize(n * dim);
+  net_.infer_into(rows, n, ws.recon.data(), ws.scratch);
+  for (std::size_t r = 0; r < n; ++r) {
+    const float* row = rows + r * dim;
+    const float* reconstructed = ws.recon.data() + r * dim;
     double acc = 0.0;
-    for (std::size_t c = 0; c < features.cols(); ++c) {
-      const double z = (static_cast<double>(reconstructed(r, c)) -
-                        features(r, c) - residual_mean_[c]) /
+    for (std::size_t c = 0; c < dim; ++c) {
+      const double z = (static_cast<double>(reconstructed[c]) - row[c] -
+                        residual_mean_[c]) /
                        residual_stddev_[c];
       acc += z * z;
     }
-    out[r] = std::sqrt(acc / static_cast<double>(features.cols()));
-    obs::registry().record("soteria.detector.score", out[r]);
+    out[r] = std::sqrt(acc / static_cast<double>(dim));
   }
-  return out;
 }
 
-std::vector<double> AeDetector::reconstruction_errors(
+std::vector<double> AeDetector::scores(
     const math::Matrix& features) const {
-  const math::Matrix reconstructed = model_.infer(features);
-  return nn::row_rmse(reconstructed, features);
+  if (!net_.compiled()) {
+    throw std::logic_error("AeDetector::scores: detector not calibrated");
+  }
+  if (features.cols() != net_.input_dim()) {
+    throw std::invalid_argument("AeDetector::scores: width mismatch");
+  }
+  const obs::Span span("detector.score");
+  std::vector<double> out(features.rows(), 0.0);
+  score_rows(features.data().data(), features.rows(), out.data());
+  for (const double score : out) {
+    obs::registry().record("soteria.detector.score", score);
+  }
+  return out;
 }
 
 double AeDetector::sample_error(
@@ -141,11 +158,6 @@ double AeDetector::sample_error(
   }
   const auto sample_scores = scores(sample_vectors);
   return math::mean(sample_scores);
-}
-
-bool AeDetector::is_adversarial(
-    const math::Matrix& sample_vectors) const {
-  return sample_error(sample_vectors) > threshold_;
 }
 
 void AeDetector::set_alpha(double alpha) {
@@ -190,6 +202,8 @@ AeDetector AeDetector::load(std::istream& in) {
     throw std::runtime_error(
         "AeDetector::load: residual statistics size mismatch");
   }
+  detector.net_ =
+      nn::FrozenNet::compile(detector.model_, detector.arch_.input_dim);
   return detector;
 }
 

@@ -11,16 +11,22 @@
 // is calibrated on the *other* half of the split (fresh walks, unseen
 // samples), keeping the whole procedure blind to the test set and to
 // any adversarial data — the paper's operational requirement.
+//
+// train() and load() compile the autoencoder into an nn::FrozenNet, and
+// every score — calibration, scores(), sample_error() and the system's
+// analysis path — runs that one compiled net. The interpreted
+// formulation survives only as the test oracle
+// (tests/infer/naive_features.h), which it matches at 0 ulp.
 #pragma once
 
 #include <cstddef>
 #include <iosfwd>
-#include <span>
 #include <vector>
 
 #include "math/matrix.h"
 #include "math/rng.h"
 #include "nn/autoencoder.h"
+#include "nn/frozen.h"
 #include "nn/sequential.h"
 #include "nn/trainer.h"
 
@@ -43,15 +49,11 @@ class AeDetector {
                           double learning_rate, math::Rng& rng);
 
   /// Standardized-residual score for every row of `features`.
-  /// Const and safe for concurrent callers (uses the model's
-  /// thread-safe inference path).
+  /// Const and safe for concurrent callers. Throws std::logic_error on
+  /// an uncalibrated detector and std::invalid_argument on a width
+  /// mismatch.
   [[nodiscard]] std::vector<double> scores(const math::Matrix& features)
       const;
-
-  /// Plain per-row reconstruction RMSE (unstandardized), for diagnostics
-  /// and the Fig. 12 raw-RE sweep.
-  [[nodiscard]] std::vector<double> reconstruction_errors(
-      const math::Matrix& features) const;
 
   /// Mean score over a sample's vectors (the detector input is one
   /// pooled row, but batches work too). Throws std::invalid_argument on
@@ -59,13 +61,20 @@ class AeDetector {
   [[nodiscard]] double sample_error(const math::Matrix& sample_vectors)
       const;
 
-  /// True if the sample's score exceeds the threshold.
-  [[nodiscard]] bool is_adversarial(const math::Matrix& sample_vectors)
-      const;
+  /// The score primitive every scoring call runs: writes the RMS of the
+  /// standardized reconstruction residuals of each of the `n`
+  /// input_dim()-wide row-major `rows` to `out`, through the compiled
+  /// autoencoder. Unchecked and obs-free; the caller guarantees a
+  /// calibrated detector and the row width. Safe for concurrent
+  /// callers (per-thread scratch).
+  void score_rows(const float* rows, std::size_t n, double* out) const;
+
+  /// Width of the rows the detector scores (0 when uncalibrated).
+  [[nodiscard]] std::size_t input_dim() const noexcept {
+    return net_.input_dim();
+  }
 
   /// Per-dimension residual standardization tables (calibration A).
-  /// FrozenModel::compile snapshots these alongside the autoencoder
-  /// weights.
   [[nodiscard]] const std::vector<double>& residual_mean() const noexcept {
     return residual_mean_;
   }
@@ -89,15 +98,15 @@ class AeDetector {
     return report_;
   }
 
-  /// The underlying model (for persistence).
-  [[nodiscard]] nn::Sequential& model() noexcept { return model_; }
+  /// The trained autoencoder. Read-only: scoring runs its compiled
+  /// copy, which nothing may get out of step with.
   [[nodiscard]] const nn::Sequential& model() const noexcept {
     return model_;
   }
 
   /// Binary (de)serialization: architecture, weights, residual
-  /// statistics, and threshold calibration. `load` throws
-  /// std::runtime_error on a corrupt stream.
+  /// statistics, and threshold calibration. `load` recompiles the
+  /// network and throws std::runtime_error on a corrupt stream.
   void save(std::ostream& out) const;
   [[nodiscard]] static AeDetector load(std::istream& in);
 
@@ -108,6 +117,7 @@ class AeDetector {
  private:
   nn::AutoencoderConfig arch_;  ///< architecture actually built
   nn::Sequential model_;
+  nn::FrozenNet net_;  ///< model_ compiled at train/load; runs all scoring
   nn::TrainReport report_;
   std::vector<double> residual_mean_;    ///< per-dimension, calibration A
   std::vector<double> residual_stddev_;  ///< per-dimension, calibration A

@@ -9,24 +9,9 @@
 #include "io/binary_io.h"
 #include "loader/elf.h"
 #include "obs/trace.h"
-#include "soteria/frozen.h"
 #include "store/feature_store.h"
 
 namespace soteria::core {
-
-math::Matrix combined_matrix(const features::SampleFeatures& features) {
-  if (features.dbl.empty() || features.lbl.empty()) {
-    throw std::invalid_argument("combined_matrix: empty feature bundle");
-  }
-  const std::size_t walks = std::min(features.dbl.size(),
-                                     features.lbl.size());
-  std::vector<std::vector<float>> rows;
-  rows.reserve(walks);
-  for (std::size_t w = 0; w < walks; ++w) {
-    rows.push_back(features.combined(w));
-  }
-  return pack_rows(rows);
-}
 
 math::Matrix pooled_matrix(const features::SampleFeatures& features) {
   if (features.pooled_dbl.empty() && features.pooled_lbl.empty()) {
@@ -168,24 +153,18 @@ SoteriaSystem SoteriaSystem::train(
             config.feature_store_dir, config.feature_store_capacity}));
   }
 
-  // 6. Compile the networks for analysis. Derived state: not
-  //    persisted, recompiled by load().
-  system.compile();
   return system;
 }
 
-void SoteriaSystem::compile() {
-  frozen_ = FrozenModel::compile(detector_, classifier_,
-                                 pipeline_.dbl_vocabulary().size(),
-                                 pipeline_.lbl_vocabulary().size());
-}
-
-const FrozenModel& SoteriaSystem::model() const {
-  if (frozen_ == nullptr) {
-    throw Error(ErrorCode::kInvalidArgument,
-                "SoteriaSystem: untrained system");
+void SoteriaSystem::check_widths(std::size_t dbl_dim, std::size_t lbl_dim,
+                                 ErrorCode code) const {
+  if (detector_.input_dim() == 0 || classifier_.dbl_dim() == 0) {
+    throw Error(code, "SoteriaSystem: untrained system");
   }
-  return *frozen_;
+  if (dbl_dim != classifier_.dbl_dim() || lbl_dim != classifier_.lbl_dim() ||
+      dbl_dim + lbl_dim != detector_.input_dim()) {
+    throw Error(code, "SoteriaSystem: feature width mismatch");
+  }
 }
 
 features::SampleFeatures SoteriaSystem::extract(const cfg::Cfg& cfg,
@@ -201,17 +180,6 @@ features::FeatureRows& thread_rows() {
   return rows;
 }
 
-/// Rows the compiled networks can score: each labeling as wide as its
-/// CNN's input (the pooled row, their concatenation, then matches the
-/// detector's).
-void check_widths(const FrozenModel& model,
-                  const features::FeatureRows& rows) {
-  if (rows.dbl_dim != model.dbl_dim() || rows.lbl_dim != model.lbl_dim()) {
-    throw Error(ErrorCode::kInvalidArgument,
-                "SoteriaSystem: feature width mismatch");
-  }
-}
-
 }  // namespace
 
 const features::FeatureRows& SoteriaSystem::rows_of(
@@ -222,12 +190,12 @@ const features::FeatureRows& SoteriaSystem::rows_of(
 }
 
 Verdict SoteriaSystem::verdict_of(const features::FeatureRows& rows) const {
-  const FrozenModel& compiled = model();
-  check_widths(compiled, rows);
+  check_widths(rows.dbl_dim, rows.lbl_dim, ErrorCode::kInvalidArgument);
   Verdict verdict;
   {
     const obs::Span span("detector.score");
-    verdict.reconstruction_error = compiled.detector_score(rows.pooled.data());
+    detector_.score_rows(rows.pooled.data(), 1,
+                         &verdict.reconstruction_error);
     obs::registry().record("soteria.detector.score",
                            verdict.reconstruction_error);
   }
@@ -236,8 +204,8 @@ Verdict SoteriaSystem::verdict_of(const features::FeatureRows& rows) const {
     const obs::Span span("classifier.predict");
     std::vector<std::size_t> votes(dataset::kFamilyCount, 0);
     std::vector<double> mass(dataset::kFamilyCount, 0.0);
-    compiled.vote(rows.dbl.data(), rows.dbl_walks, rows.lbl.data(),
-                  rows.lbl_walks, votes, mass);
+    classifier_.vote(rows.dbl.data(), rows.dbl_walks, rows.lbl.data(),
+                     rows.lbl_walks, votes, mass);
     obs::registry().counter_add("soteria.classifier.predictions");
     obs::registry().record("soteria.classifier.vote_margin",
                            static_cast<double>(vote_margin(votes)));
@@ -259,17 +227,16 @@ Verdict SoteriaSystem::analyze_features(
 
 FeatureScores SoteriaSystem::score_features(
     const features::SampleFeatures& features) const {
-  const FrozenModel& compiled = model();
   const features::FeatureRows& rows = rows_of(features);
-  check_widths(compiled, rows);
+  check_widths(rows.dbl_dim, rows.lbl_dim, ErrorCode::kInvalidArgument);
   FeatureScores scores;
-  scores.detector_score = compiled.detector_score(rows.pooled.data());
+  detector_.score_rows(rows.pooled.data(), 1, &scores.detector_score);
   scores.threshold = detector_.threshold();
   scores.adversarial = scores.detector_score > scores.threshold;
   scores.votes.assign(dataset::kFamilyCount, 0);
   std::vector<double> mass(dataset::kFamilyCount, 0.0);
-  compiled.vote(rows.dbl.data(), rows.dbl_walks, rows.lbl.data(),
-                rows.lbl_walks, scores.votes, mass);
+  classifier_.vote(rows.dbl.data(), rows.dbl_walks, rows.lbl.data(),
+                   rows.lbl_walks, scores.votes, mass);
   scores.predicted = vote_winner(scores.votes, mass);
   return scores;
 }
@@ -395,7 +362,9 @@ SoteriaSystem SoteriaSystem::load(std::istream& in) try {
   }
   system.detector_ = AeDetector::load(in);
   system.classifier_ = FamilyClassifier::load(in);
-  system.compile();
+  system.check_widths(system.pipeline_.dbl_vocabulary().size(),
+                      system.pipeline_.lbl_vocabulary().size(),
+                      ErrorCode::kCorruptModel);
   return system;
 } catch (const Error&) {
   throw;

@@ -20,8 +20,6 @@
 
 namespace soteria::core {
 
-class FrozenModel;
-
 /// The verdict for one analyzed sample.
 struct Verdict {
   /// True if the detector flagged the sample; flagged samples are not
@@ -85,8 +83,8 @@ class SoteriaSystem {
  public:
   /// Trains the full system on clean training samples: fits the feature
   /// pipeline, trains the detector on combined vectors, trains the two
-  /// classifier CNNs on per-walk vectors, and compiles the networks
-  /// into the FrozenModel every analysis runs on. Feature extraction for
+  /// classifier CNNs on per-walk vectors (each component compiles its
+  /// networks, which every analysis runs on). Feature extraction for
   /// training and calibration runs on `config.num_threads` threads;
   /// every sample draws from an RNG child keyed by its index, so the
   /// trained system is bit-identical at any thread count. Throws
@@ -180,8 +178,9 @@ class SoteriaSystem {
 
   /// Binary (de)serialization of the whole trained system (config,
   /// vocabularies, detector, classifier). `load` recompiles the
-  /// FrozenModel and throws Error{kCorruptModel} (a std::runtime_error)
-  /// on a corrupt stream.
+  /// networks and throws Error{kCorruptModel} (a std::runtime_error)
+  /// on a corrupt stream, including one whose detector or CNN widths do
+  /// not match its vocabularies.
   void save(std::ostream& out) const;
   [[nodiscard]] static SoteriaSystem load(std::istream& in);
 
@@ -195,12 +194,11 @@ class SoteriaSystem {
   SoteriaSystem() = default;
 
  private:
-  /// Compiles detector_ and classifier_ into frozen_ (train and load).
-  void compile();
-
-  /// The compiled model; throws Error{kInvalidArgument} on an untrained
-  /// (default-constructed) system.
-  [[nodiscard]] const FrozenModel& model() const;
+  /// Throws Error{`code`} unless the networks are trained and take
+  /// rows of `dbl_dim` and `lbl_dim` floats: each labeling as wide as
+  /// its CNN's input, their concatenation as wide as the detector's.
+  void check_widths(std::size_t dbl_dim, std::size_t lbl_dim,
+                    ErrorCode code) const;
 
   /// Store-aware single-sample analysis shared by analyze and
   /// analyze_batch (`store` overrides the installed one when non-null).
@@ -221,15 +219,7 @@ class SoteriaSystem {
   features::FeaturePipeline pipeline_;
   AeDetector detector_;
   FamilyClassifier classifier_;
-  /// Compiled at train()/load(); shared so copies of the system stay
-  /// cheap. Immutable, like everything a const analysis reads.
-  std::shared_ptr<const FrozenModel> frozen_;
 };
-
-/// Packs a sample's combined per-walk vectors into a matrix (one row
-/// per walk).
-[[nodiscard]] math::Matrix combined_matrix(
-    const features::SampleFeatures& features);
 
 /// Packs a sample's pooled combined vector into a 1-row matrix — the
 /// detector's input.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "soteria/error.h"
+
 namespace soteria::features {
 namespace {
 
@@ -36,15 +38,20 @@ TEST(Gram, PackValidation) {
                std::invalid_argument);
   EXPECT_THROW((void)pack_gram(std::vector<cfg::Label>{1, 2, 3, 4, 5}),
                std::invalid_argument);
-  EXPECT_THROW((void)pack_gram(std::vector<cfg::Label>{kMaxGramLabel + 1}),
-               std::invalid_argument);
+  try {
+    (void)pack_gram(std::vector<cfg::Label>{kMaxGramLabel + 1});
+    ADD_FAILURE() << "label above kMaxGramLabel was packed";
+  } catch (const core::Error& e) {
+    EXPECT_EQ(e.code(), core::ErrorCode::kOutOfRange);
+  }
 }
 
 TEST(CountGrams, CountsSlidingWindows) {
   const std::vector<cfg::Label> walk{1, 2, 1, 2, 1};
   const std::vector<std::size_t> sizes{2};
-  GramCounts counts;
-  count_grams(walk, sizes, counts);
+  FlatGramCounter counter;
+  counter.count_walk(walk, sizes);
+  const GramCounts counts = counter.to_counts();
   EXPECT_EQ(counts.at(pack_gram(std::vector<cfg::Label>{1, 2})), 2U);
   EXPECT_EQ(counts.at(pack_gram(std::vector<cfg::Label>{2, 1})), 2U);
   EXPECT_EQ(counts.size(), 2U);
@@ -54,8 +61,9 @@ TEST(CountGrams, CountsSlidingWindows) {
 TEST(CountGrams, MultipleSizesAccumulate) {
   const std::vector<cfg::Label> walk{3, 3, 3};
   const std::vector<std::size_t> sizes{2, 3};
-  GramCounts counts;
-  count_grams(walk, sizes, counts);
+  FlatGramCounter counter;
+  counter.count_walk(walk, sizes);
+  const GramCounts counts = counter.to_counts();
   EXPECT_EQ(counts.at(pack_gram(std::vector<cfg::Label>{3, 3})), 2U);
   EXPECT_EQ(counts.at(pack_gram(std::vector<cfg::Label>{3, 3, 3})), 1U);
 }
@@ -63,25 +71,28 @@ TEST(CountGrams, MultipleSizesAccumulate) {
 TEST(CountGrams, ShortWalksProduceNothing) {
   const std::vector<cfg::Label> walk{1};
   const std::vector<std::size_t> sizes{2, 3, 4};
-  GramCounts counts;
-  count_grams(walk, sizes, counts);
-  EXPECT_TRUE(counts.empty());
+  FlatGramCounter counter;
+  counter.count_walk(walk, sizes);
+  EXPECT_EQ(counter.distinct(), 0U);
+  EXPECT_EQ(counter.total(), 0U);
 }
 
 TEST(CountGrams, ValidatesSizes) {
   const std::vector<cfg::Label> walk{1, 2, 3};
-  GramCounts counts;
+  FlatGramCounter counter;
   const std::vector<std::size_t> zero{0};
   const std::vector<std::size_t> huge{5};
-  EXPECT_THROW(count_grams(walk, zero, counts), std::invalid_argument);
-  EXPECT_THROW(count_grams(walk, huge, counts), std::invalid_argument);
+  EXPECT_THROW(counter.count_walk(walk, zero), std::invalid_argument);
+  EXPECT_THROW(counter.count_walk(walk, huge), std::invalid_argument);
 }
 
 TEST(CountGrams, MultiWalkOverloadPools) {
   const std::vector<std::vector<cfg::Label>> walks{{1, 2}, {1, 2}};
   const std::vector<std::size_t> sizes{2};
-  const auto counts = count_grams(walks, sizes);
-  EXPECT_EQ(counts.at(pack_gram(std::vector<cfg::Label>{1, 2})), 2U);
+  FlatGramCounter counter;
+  for (const auto& walk : walks) counter.count_walk(walk, sizes);
+  EXPECT_EQ(counter.to_counts().at(pack_gram(std::vector<cfg::Label>{1, 2})),
+            2U);
 }
 
 TEST(Gram, ToStringFormatsDashSeparated) {

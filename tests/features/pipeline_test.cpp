@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "graph/generators.h"
+#include "soteria/error.h"
 
 namespace soteria::features {
 namespace {
@@ -163,6 +164,28 @@ TEST(Pipeline, GramCountsPoolAcrossWalks) {
   const std::size_t expected =
       3 * ((walk_len - 1) + (walk_len - 2) + (walk_len - 3));
   EXPECT_EQ(total_occurrences(counts), expected);
+}
+
+// Labels are node ranks, and a gram key holds labels up to
+// kMaxGramLabel: extracting a CFG with more nodes than that must fail
+// with a typed out-of-range error (an untrusted binary can be that
+// large), not an untyped exception. Approximate centrality keeps the
+// labeling of the 16,500-node graph to about a second.
+TEST(Pipeline, LabelsBeyondGramKeyRangeAreTypedOutOfRange) {
+  math::Rng rng(21);
+  PipelineConfig config = tiny_config();
+  config.labeling.approx_centrality_threshold = 1000;
+  const auto pipeline =
+      FeaturePipeline::fit(small_corpus(4, rng), config, rng);
+
+  const cfg::Cfg huge(graph::firmware_like_cfg(kMaxGramLabel + 117, rng), 0);
+  ASSERT_GT(huge.node_count(), kMaxGramLabel + 1);
+  try {
+    (void)pipeline.extract(huge, rng);
+    ADD_FAILURE() << "extracted labels above kMaxGramLabel";
+  } catch (const core::Error& e) {
+    EXPECT_EQ(e.code(), core::ErrorCode::kOutOfRange) << e.what();
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Bit-level contracts of the gram-counting fast paths: the rolling
-// packed-key update (count_grams, FlatGramCounter) must agree exactly
+// packed-key update (FlatGramCounter) must agree exactly
 // with the per-window reference implementation (naive_features.h), and
 // count_into_vocab must match the map path filtered through the
 // vocabulary's DirectGramTable, window totals included. Counting is pure integer
@@ -13,6 +13,7 @@
 #include "features/ngram.h"
 #include "infer/naive_features.h"
 #include "math/rng.h"
+#include "soteria/error.h"
 
 namespace soteria::features {
 namespace {
@@ -35,6 +36,14 @@ GramCounts reference_counts(const std::vector<cfg::Label>& walk,
   return counts;
 }
 
+/// One walk through the rolling counter, as a map.
+GramCounts rolling_counts(const std::vector<cfg::Label>& walk,
+                          const std::vector<std::size_t>& sizes) {
+  FlatGramCounter counter;
+  counter.count_walk(walk, sizes);
+  return counter.to_counts();
+}
+
 TEST(RollingCountTest, MatchesReferenceAcrossRandomWalks) {
   math::Rng rng(101);
   const std::vector<std::vector<std::size_t>> size_sets = {
@@ -43,9 +52,7 @@ TEST(RollingCountTest, MatchesReferenceAcrossRandomWalks) {
     const std::size_t length = rng.index(40);  // includes 0..3: no windows
     const auto walk = random_walk(length, 17, rng);
     for (const auto& sizes : size_sets) {
-      GramCounts rolling;
-      count_grams(walk, sizes, rolling);
-      EXPECT_EQ(rolling, reference_counts(walk, sizes))
+      EXPECT_EQ(rolling_counts(walk, sizes), reference_counts(walk, sizes))
           << "trial " << trial << " length " << length;
     }
   }
@@ -56,14 +63,11 @@ TEST(RollingCountTest, MaxLabelsAndRepeats) {
   // All-max labels exercise the full 14-bit fields and the length-4
   // body mask edge (body occupies all 56 label bits).
   const std::vector<cfg::Label> maxed(10, kMaxGramLabel);
-  GramCounts rolling;
-  count_grams(maxed, sizes, rolling);
-  EXPECT_EQ(rolling, reference_counts(maxed, sizes));
+  EXPECT_EQ(rolling_counts(maxed, sizes), reference_counts(maxed, sizes));
 
   const std::vector<cfg::Label> repeated(25, 7);
-  GramCounts rep;
-  count_grams(repeated, sizes, rep);
-  EXPECT_EQ(rep, reference_counts(repeated, sizes));
+  EXPECT_EQ(rolling_counts(repeated, sizes),
+            reference_counts(repeated, sizes));
 }
 
 TEST(RollingCountTest, DuplicateSizesMatchReferenceWithoutOverflow) {
@@ -79,10 +83,6 @@ TEST(RollingCountTest, DuplicateSizesMatchReferenceWithoutOverflow) {
   for (std::size_t trial = 0; trial < 20; ++trial) {
     const auto walk = random_walk(rng.index(40), 15, rng);
     const GramCounts expected = reference_counts(walk, sizes);
-
-    GramCounts rolling;
-    count_grams(walk, sizes, rolling);
-    EXPECT_EQ(rolling, expected) << "trial " << trial;
 
     FlatGramCounter counter;
     counter.count_walk(walk, sizes);
@@ -127,11 +127,16 @@ TEST(RollingCountTest, ShortWalkWithBadLabelStillProducesNothing) {
   // exist).
   const std::vector<cfg::Label> walk = {kMaxGramLabel + 1};
   const std::vector<std::size_t> sizes = {2, 3, 4};
-  GramCounts counts;
-  count_grams(walk, sizes, counts);
-  EXPECT_TRUE(counts.empty());
+  FlatGramCounter counter;
+  counter.count_walk(walk, sizes);
+  EXPECT_EQ(counter.distinct(), 0U);
   const std::vector<std::size_t> unigrams = {1};
-  EXPECT_THROW(count_grams(walk, unigrams, counts), std::invalid_argument);
+  try {
+    counter.count_walk(walk, unigrams);
+    ADD_FAILURE() << "label above kMaxGramLabel was counted";
+  } catch (const core::Error& e) {
+    EXPECT_EQ(e.code(), core::ErrorCode::kOutOfRange);
+  }
 }
 
 TEST(FlatGramCounterTest, AccumulatesLikeReferenceAcrossWalks) {

@@ -14,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "dataset/generator.h"
@@ -237,8 +238,9 @@ TEST_F(FrozenSystemFixture, AnalyzeFeaturesMatchesInterpreted) {
   }
 }
 
-// score_features runs each network once; its votes and prediction
-// must equal the classifier's two separate interpreted calls.
+// score_features runs each network once; its votes, prediction and
+// score must equal the separate vote_counts, predict and sample_error
+// calls.
 TEST_F(FrozenSystemFixture, ScoreFeaturesMatchesTwoCallComposition) {
   const auto cfgs = test_cfgs(6);
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
@@ -342,6 +344,74 @@ TEST_F(FrozenSystemFixture, MalformedBundlesAreTypedErrors) {
   const SoteriaSystem untrained;
   EXPECT_EQ(error_code_of([&] { (void)untrained.analyze_features(good); }),
             ErrorCode::kInvalidArgument);
+  EXPECT_EQ(error_code_of([&] { (void)untrained.score_features(good); }),
+            ErrorCode::kInvalidArgument);
+}
+
+// The saved model with its detector and classifier sections replaced.
+// save() writes them last, in that order, so everything before them is
+// the system's own header and pipeline.
+std::string spliced_model(const SoteriaSystem& system,
+                          const AeDetector& detector,
+                          const FamilyClassifier& classifier) {
+  std::stringstream full;
+  system.save(full);
+  std::stringstream own_tail;
+  system.detector().save(own_tail);
+  system.classifier().save(own_tail);
+  const std::string bytes = full.str();
+  std::stringstream out;
+  out << bytes.substr(0, bytes.size() - own_tail.str().size());
+  detector.save(out);
+  classifier.save(out);
+  return out.str();
+}
+
+// Each component compiles its own networks for its own architecture;
+// load() must still refuse a model whose networks do not take the
+// widths its vocabularies produce.
+TEST_F(FrozenSystemFixture, LoadRejectsNetworksThatDisagreeWithVocabularies) {
+  const std::size_t dbl_dim = system->pipeline().dbl_vocabulary().size();
+  const std::size_t lbl_dim = system->pipeline().lbl_vocabulary().size();
+  ASSERT_EQ(system->classifier().dbl_dim(), dbl_dim);
+  ASSERT_EQ(system->detector().input_dim(), dbl_dim + lbl_dim);
+
+  const auto load_code = [](const std::string& bytes) {
+    return error_code_of([&] {
+      std::stringstream in(bytes);
+      (void)SoteriaSystem::load(in);
+    });
+  };
+  // The splice itself is faithful.
+  EXPECT_EQ(load_code(spliced_model(*system, system->detector(),
+                                    system->classifier())),
+            ErrorCode::kOk);
+
+  math::Rng rng(93);
+  nn::AutoencoderConfig ae;
+  ae.hidden_dims = {8};
+  math::Matrix wide(8, dbl_dim + lbl_dim + 1);
+  wide.fill_uniform(rng, 0.0F, 1.0F);
+  const AeDetector wide_detector = AeDetector::train(
+      wide, wide, ae, nn::make_train_config(1, 8), 1.0, 1e-3, rng);
+  EXPECT_EQ(load_code(spliced_model(*system, wide_detector,
+                                    system->classifier())),
+            ErrorCode::kCorruptModel);
+
+  const auto labeled = [&](std::size_t width) {
+    LabeledVectors data{math::Matrix(4, width), {0, 1, 2, 3}};
+    data.features.fill_uniform(rng, 0.0F, 1.0F);
+    return data;
+  };
+  nn::CnnConfig cnn;
+  cnn.filters = 2;
+  cnn.dense_units = 8;
+  const FamilyClassifier narrow_classifier = FamilyClassifier::train(
+      labeled(dbl_dim - 1), labeled(lbl_dim), cnn,
+      nn::make_train_config(1, 4), 1e-3, rng);
+  EXPECT_EQ(load_code(spliced_model(*system, system->detector(),
+                                    narrow_classifier)),
+            ErrorCode::kCorruptModel);
 }
 
 }  // namespace

@@ -2,9 +2,15 @@
 // preserved as the reference oracle for FeaturePipeline::extract_into
 // and the compiled analysis path:
 //
-//   labeled_walks (DBL, then LBL) -> count_grams into an unordered_map
-//   per walk -> map TF-IDF against the vocabulary -> interpreted
-//   AeDetector / FamilyClassifier forward passes.
+//   labeled_walks (DBL, then LBL) -> per-window pack_gram counting into
+//   an unordered_map per walk -> map TF-IDF against the vocabulary ->
+//   the interpreted networks (nn::Sequential::infer), with the
+//   detector's standardized-residual score and the classifiers'
+//   softmax vote written out here.
+//
+// Nothing in it calls the library's gram counters or the AeDetector /
+// FamilyClassifier scoring methods: those run the compiled networks
+// this oracle checks.
 //
 // tests/infer/frozen_identity_test and tests/frontend/end_to_end_test
 // pin the library's verdicts to reference_verdict at 0 ulp, and
@@ -16,6 +22,7 @@
 // order per slot, so the two agree bit for bit.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -31,12 +38,13 @@
 #include "features/random_walk.h"
 #include "features/vocabulary.h"
 #include "math/rng.h"
+#include "nn/loss.h"
 #include "soteria/system.h"
 
 namespace soteria::features {
 
 /// Per-window pack_gram + map counting: the oracle for the rolling
-/// counters (count_grams, FlatGramCounter, count_into_vocab).
+/// counters (FlatGramCounter, count_into_vocab).
 inline void count_grams_reference(std::span<const cfg::Label> walk,
                                   std::span<const std::size_t> sizes,
                                   GramCounts& counts) {
@@ -97,7 +105,7 @@ inline void reference_labeling(const FeaturePipeline& pipeline,
   for (const auto& walk : walks) {
     GramCounts counts;
     counts.reserve(2048);
-    count_grams(walk, config.gram_sizes, counts);
+    count_grams_reference(walk, config.gram_sizes, counts);
     for (const auto& [key, count] : counts) pooled_counts[key] += count;
     rows.push_back(tfidf_reference(vocab, counts, config.l2_normalize));
   }
@@ -124,16 +132,60 @@ inline SampleFeatures reference_extract(const FeaturePipeline& pipeline,
 
 namespace soteria::core {
 
-/// A verdict through the interpreted networks (nn::Sequential forward
-/// passes) over a given bundle.
+/// The detector score of one pooled row through the interpreted
+/// autoencoder: the RMS of the reconstruction residuals, each
+/// standardized by the calibration statistics.
+inline double reference_score(const AeDetector& detector,
+                              const math::Matrix& pooled) {
+  const math::Matrix reconstructed = detector.model().infer(pooled);
+  double acc = 0.0;
+  for (std::size_t c = 0; c < pooled.cols(); ++c) {
+    const double z = (static_cast<double>(reconstructed(0, c)) -
+                      pooled(0, c) - detector.residual_mean()[c]) /
+                     detector.residual_stddev()[c];
+    acc += z * z;
+  }
+  return std::sqrt(acc / static_cast<double>(pooled.cols()));
+}
+
+/// One CNN's vote over per-walk vectors: softmax of the interpreted
+/// logits, one argmax vote per row, summed probability mass.
+inline void reference_vote(const nn::Sequential& model,
+                           const std::vector<std::vector<float>>& vectors,
+                           std::vector<std::size_t>& votes,
+                           std::vector<double>& mass) {
+  if (vectors.empty()) return;
+  const math::Matrix probs = nn::softmax(model.infer(pack_rows(vectors)));
+  for (std::size_t r = 0; r < probs.rows(); ++r) {
+    const auto row = probs.row(r);
+    ++votes[static_cast<std::size_t>(
+        std::max_element(row.begin(), row.end()) - row.begin())];
+    for (std::size_t c = 0; c < row.size(); ++c) mass[c] += row[c];
+  }
+}
+
+/// A verdict through the interpreted networks over a given bundle:
+/// most votes wins, ties go to the larger probability mass, then to the
+/// lower class index.
 inline Verdict reference_verdict(const SoteriaSystem& system,
                                  const features::SampleFeatures& features) {
   Verdict verdict;
   verdict.reconstruction_error =
-      system.detector().sample_error(pooled_matrix(features));
+      reference_score(system.detector(), pooled_matrix(features));
   verdict.adversarial =
       verdict.reconstruction_error > system.detector().threshold();
-  verdict.predicted = system.classifier().predict(features);
+  std::vector<std::size_t> votes(dataset::kFamilyCount, 0);
+  std::vector<double> mass(dataset::kFamilyCount, 0.0);
+  reference_vote(system.classifier().dbl_model(), features.dbl, votes, mass);
+  reference_vote(system.classifier().lbl_model(), features.lbl, votes, mass);
+  std::size_t best = 0;
+  for (std::size_t c = 1; c < votes.size(); ++c) {
+    if (votes[c] > votes[best] ||
+        (votes[c] == votes[best] && mass[c] > mass[best])) {
+      best = c;
+    }
+  }
+  verdict.predicted = dataset::family_from_index(best);
   return verdict;
 }
 

@@ -103,14 +103,45 @@ TEST(FamilyClassifier, SingleLabelingPredictionsWork) {
             dataset::family_from_index(2));
 }
 
+// One vote per per-walk row, through the DBL network alone when the
+// bundle carries no LBL rows.
 TEST(FamilyClassifier, BatchPredictionsMatchClassCount) {
   auto classifier = trained_classifier();
   const auto data = make_training(2, 99);
-  const auto predictions = classifier.predict_dbl(data.features);
-  EXPECT_EQ(predictions.size(), data.features.rows());
-  for (std::size_t p : predictions) {
-    EXPECT_LT(p, dataset::kFamilyCount);
+  features::SampleFeatures dbl_only;
+  for (std::size_t r = 0; r < data.features.rows(); ++r) {
+    const auto row = data.features.row(r);
+    dbl_only.dbl.emplace_back(row.begin(), row.end());
   }
+  const auto votes = classifier.vote_counts(dbl_only);
+  ASSERT_EQ(votes.size(), dataset::kFamilyCount);
+  std::size_t total = 0;
+  for (std::size_t v : votes) total += v;
+  EXPECT_EQ(total, data.features.rows());
+}
+
+// The compiled networks exist only after train() or load(): an untrained
+// classifier must refuse to score rather than run an empty network.
+TEST(FamilyClassifier, UntrainedClassifierThrows) {
+  const FamilyClassifier classifier;
+  EXPECT_EQ(classifier.dbl_dim(), 0U);
+  const auto features = features_for_class(0, 7);
+  EXPECT_THROW((void)classifier.predict(features), std::logic_error);
+  EXPECT_THROW((void)classifier.vote_counts(features), std::logic_error);
+  EXPECT_THROW((void)classifier.predict_dbl_only(features), std::logic_error);
+  EXPECT_THROW((void)classifier.predict_lbl_only(features), std::logic_error);
+}
+
+TEST(FamilyClassifier, PredictValidatesVectors) {
+  auto classifier = trained_classifier();
+  auto narrow = features_for_class(1, 8);
+  for (auto& row : narrow.lbl) row.pop_back();
+  EXPECT_THROW((void)classifier.predict(narrow), std::invalid_argument);
+  // The DBL-only vote never reads the narrow LBL rows.
+  EXPECT_NO_THROW((void)classifier.predict_dbl_only(narrow));
+  auto ragged = features_for_class(1, 9);
+  ragged.dbl.back().push_back(0.0F);
+  EXPECT_THROW((void)classifier.vote_counts(ragged), std::invalid_argument);
 }
 
 TEST(FamilyClassifier, TrainValidation) {
@@ -134,6 +165,8 @@ TEST(FamilyClassifier, SaveLoadRoundTripsPredictions) {
   std::stringstream stream;
   classifier.save(stream);
   auto loaded = FamilyClassifier::load(stream);
+  EXPECT_EQ(loaded.dbl_dim(), classifier.dbl_dim());
+  EXPECT_EQ(loaded.lbl_dim(), classifier.lbl_dim());
   for (std::size_t c = 0; c < dataset::kFamilyCount; ++c) {
     const auto features = features_for_class(c, 500 + c);
     EXPECT_EQ(loaded.predict(features), classifier.predict(features));

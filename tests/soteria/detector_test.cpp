@@ -49,7 +49,7 @@ TEST(AeDetector, SeparatesShiftedCluster) {
   for (double v : clean_scores) clean_mean += v;
   for (double v : anomaly_scores) anomaly_mean += v;
   EXPECT_GT(anomaly_mean / 8.0, 3.0 * clean_mean / 8.0);
-  EXPECT_TRUE(detector.is_adversarial(anomalous));
+  EXPECT_GT(detector.sample_error(anomalous), detector.threshold());
 }
 
 TEST(AeDetector, CleanSamplesScoreNearCalibrationMean) {
@@ -131,9 +131,9 @@ TEST(AeDetector, SaveLoadRoundTripsScores) {
   auto loaded = AeDetector::load(stream);
   EXPECT_DOUBLE_EQ(loaded.threshold(), detector.threshold());
   const auto probe = cluster(4, 1.0F, 11);
+  EXPECT_EQ(loaded.input_dim(), detector.input_dim());
   EXPECT_EQ(loaded.scores(probe), detector.scores(probe));
-  EXPECT_EQ(loaded.reconstruction_errors(probe),
-            detector.reconstruction_errors(probe));
+  EXPECT_EQ(loaded.sample_error(probe), detector.sample_error(probe));
 }
 
 TEST(AeDetector, LoadRejectsGarbage) {
