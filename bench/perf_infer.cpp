@@ -8,13 +8,15 @@
 //     fused count_into_vocab -> dense tfidf_into path the pipeline runs
 //     (the vocabulary's DirectGramTable lookup), on identical walks.
 //     Outputs are checked bitwise before timing.
-//   * end-to-end: the map-based extraction + interpreted layer objects
-//     (reference_analyze, parallelized like analyze_batch) versus
-//     SoteriaSystem::analyze_batch, at 1/2/4 threads, with exact
-//     verdict identity asserted per thread count.
+//   * end-to-end: the map-based extraction + the layer-by-layer
+//     reference forward pass (reference_analyze, parallelized like
+//     analyze_batch) versus SoteriaSystem::analyze_batch (fused
+//     extraction + Sequential::infer_into), at 1/2/4 threads, with
+//     exact verdict identity asserted per thread count. The
+//     "interpreted_*" / "frozen_*" result keys name these two sides.
 //
 // The sweep fails (non-zero exit) if any identity check fails, if the
-// n-gram fast path is under 3x, or if the frozen model is under 2x
+// n-gram fast path is under 3x, or if analyze_batch is under 2x
 // end-to-end at one thread. Results go to stdout,
 // bench_results/perf_infer.txt, and the "perf_infer" section of the
 // repo-root BENCH_perf.json (read-merge-write, other sections

@@ -1,6 +1,8 @@
 // Micro-benchmarks for the NN substrate: matmul, conv1d, and full
 // forward/backward passes of the paper architectures (scaled) — plus a
-// thread-count sweep of concurrent const inference (Sequential::infer).
+// thread-count sweep of concurrent const inference
+// (Sequential::infer_into with per-thread scratch, the path every
+// score runs).
 //
 // After the google-benchmark suites, main() trains a small autoencoder
 // and CNN with the observability registry enabled and prints the
@@ -15,6 +17,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/perf_json.h"
 #include "infer/naive_kernels.h"
@@ -142,10 +145,10 @@ void BM_CnnTrainStep(benchmark::State& state) {
 BENCHMARK(BM_CnnTrainStep);
 
 // Thread sweep: one shared autoencoder, 16 chunks of 16 rows each,
-// inferred concurrently through the const Sequential::infer path (the
-// same arithmetic SoteriaSystem::analyze_batch runs per sample). The
-// sweep verifies once per thread count that chunked parallel inference
-// is bit-identical to the serial chunked loop.
+// inferred concurrently through the const Sequential::infer_into path
+// with one scratch per thread (what SoteriaSystem::analyze_batch runs
+// per sample). The sweep verifies once per thread count that chunked
+// parallel inference is bit-identical to the serial chunked loop.
 void BM_ParallelAutoencoderInfer(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
   math::Rng rng(6);
@@ -163,16 +166,19 @@ void BM_ParallelAutoencoderInfer(benchmark::State& state) {
   }
   const auto infer_all = [&](std::size_t num_threads) {
     return runtime::parallel_map(
-        num_threads, chunks.size(),
-        [&](std::size_t c) { return model.infer(chunks[c]); });
+        num_threads, chunks.size(), [&](std::size_t c) {
+          thread_local nn::Sequential::Scratch scratch;
+          std::vector<float> out(kChunkRows * config.input_dim);
+          model.infer_into(chunks[c].data().data(), kChunkRows,
+                           config.input_dim, out.data(), scratch);
+          return out;
+        });
   };
   {
     const auto parallel = infer_all(threads);
     const auto serial = infer_all(1);
     for (std::size_t c = 0; c < kChunks; ++c) {
-      const auto pd = parallel[c].data();
-      const auto sd = serial[c].data();
-      if (!std::equal(pd.begin(), pd.end(), sd.begin(), sd.end())) {
+      if (parallel[c] != serial[c]) {
         state.SkipWithError("parallel inference diverged from serial");
         return;
       }

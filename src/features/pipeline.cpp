@@ -35,16 +35,6 @@ void validate(const PipelineConfig& config) {
   }
 }
 
-std::vector<float> SampleFeatures::combined(std::size_t walk) const {
-  if (walk >= dbl.size() || walk >= lbl.size()) {
-    throw std::out_of_range("SampleFeatures::combined: walk index " +
-                            std::to_string(walk));
-  }
-  std::vector<float> vec = dbl[walk];
-  vec.insert(vec.end(), lbl[walk].begin(), lbl[walk].end());
-  return vec;
-}
-
 namespace {
 
 std::vector<float> mean_of(const std::vector<std::vector<float>>& vecs) {

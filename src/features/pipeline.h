@@ -79,9 +79,6 @@ struct SampleFeatures {
   std::vector<float> pooled_dbl;
   std::vector<float> pooled_lbl;
 
-  /// walk i's DBL vector concatenated with walk i's LBL vector.
-  [[nodiscard]] std::vector<float> combined(std::size_t walk) const;
-
   /// pooled_dbl ++ pooled_lbl: the 1x1000 detector input (paper Fig. 5).
   [[nodiscard]] std::vector<float> pooled_combined() const;
 
@@ -92,7 +89,7 @@ struct SampleFeatures {
 
 /// Flat output of the fused extractor (FeaturePipeline::extract_into):
 /// each labeling's per-walk TF-IDF rows back to back, walk-major, and
-/// the pooled detector row — the layout the compiled networks consume
+/// the pooled detector row — the layout the networks consume
 /// in place. Also holds the scratch that produced them. Buffers only
 /// grow, so one instance per thread makes extraction allocation-free
 /// once warm.

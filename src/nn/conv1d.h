@@ -13,10 +13,11 @@
 
 namespace soteria::nn {
 
-/// Raw direct-convolution kernel shared by Conv1d::infer and
-/// nn::FrozenNet. `in` is rows x (in_channels*in_length) channel-major,
-/// `out` rows x (out_channels*(in_length-kernel+1)), `weights`
-/// out_channels x (in_channels*kernel), `bias` out_channels. Each
+/// Raw direct-convolution kernel behind Conv1d::infer_into (the test
+/// oracle's reference forward pass calls it too). `in` is rows x
+/// (in_channels*in_length) channel-major, `out` rows x
+/// (out_channels*(in_length-kernel+1)), `weights` out_channels x
+/// (in_channels*kernel), `bias` out_channels. Each
 /// output element accumulates bias first, then channel/tap products in
 /// ascending (channel, tap) order. Processes output channels in pairs
 /// so each input-channel load feeds two accumulator streams;
@@ -34,7 +35,8 @@ class Conv1d : public Layer {
          std::size_t out_channels, std::size_t kernel, math::Rng& rng);
 
   math::Matrix forward(const math::Matrix& input, bool training) override;
-  [[nodiscard]] math::Matrix infer(const math::Matrix& input) const override;
+  const float* infer_into(const float* in, std::size_t rows,
+                          std::size_t width, float* out) const override;
   math::Matrix backward(const math::Matrix& grad_output) override;
   void collect_parameters(std::vector<ParamRef>& out) override;
   void zero_gradients() override;

@@ -34,15 +34,20 @@ class Layer {
   Layer& operator=(const Layer&) = delete;
 
   /// Batch forward pass. `training` enables train-only behaviour
-  /// (dropout masks). Implementations cache activations for backward.
+  /// (dropout masks). Implementations cache activations for backward
+  /// and compute the output with infer_into, so training and inference
+  /// share one kernel per layer.
   virtual math::Matrix forward(const math::Matrix& input, bool training) = 0;
 
-  /// Inference-only forward pass: identical arithmetic to
-  /// forward(input, false) but touches no mutable state (no activation
-  /// caches, no dropout masks), so concurrent infer() calls on a shared
-  /// layer are safe. backward() must not follow an infer().
-  [[nodiscard]] virtual math::Matrix infer(const math::Matrix& input)
-      const = 0;
+  /// The layer's inference kernel: reads `rows` row-major rows of
+  /// `width` floats from `in` and writes rows x output_dimension(width)
+  /// floats to `out`, which must not alias `in`. Returns the buffer
+  /// holding the result: `out`, or `in` itself for a layer that is the
+  /// identity at inference (Dropout), which then costs no copy. The
+  /// caller has validated `width` with output_dimension. Const and
+  /// allocation-free, so concurrent calls on a shared layer are safe.
+  virtual const float* infer_into(const float* in, std::size_t rows,
+                                  std::size_t width, float* out) const = 0;
 
   /// Batch backward pass; must follow a forward with the same batch.
   /// Accumulates parameter gradients and returns d(loss)/d(input).

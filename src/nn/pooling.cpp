@@ -19,26 +19,16 @@ MaxPool1d::MaxPool1d(std::size_t channels, std::size_t in_length,
   }
 }
 
-math::Matrix MaxPool1d::forward(const math::Matrix& input,
-                                bool /*training*/) {
-  const std::size_t expected = channels_ * in_length_;
-  if (input.cols() != expected) {
-    throw std::invalid_argument("MaxPool1d::forward: input width " +
-                                std::to_string(input.cols()) + " != " +
-                                std::to_string(expected));
-  }
+void MaxPool1d::pool(const float* in, std::size_t rows, float* out,
+                     std::uint32_t* argmax) const noexcept {
   const std::size_t out_len = out_length();
-  cached_rows_ = input.rows();
-  argmax_.assign(input.rows() * channels_ * out_len, 0);
-  math::Matrix out(input.rows(), channels_ * out_len, 0.0F);
-  for (std::size_t r = 0; r < input.rows(); ++r) {
-    const float* in_row = input.data().data() + r * input.cols();
-    float* out_row = out.data().data() + r * out.cols();
-    std::uint32_t* am_row = argmax_.data() + r * channels_ * out_len;
+  const std::size_t in_cols = channels_ * in_length_;
+  const std::size_t out_cols = channels_ * out_len;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* in_row = in + r * in_cols;
     for (std::size_t c = 0; c < channels_; ++c) {
       const float* in_chan = in_row + c * in_length_;
-      float* out_chan = out_row + c * out_len;
-      std::uint32_t* am_chan = am_row + c * out_len;
+      const std::size_t out_base = r * out_cols + c * out_len;
       for (std::size_t t = 0; t < out_len; ++t) {
         const std::size_t start = t * window_;
         float best = in_chan[start];
@@ -49,39 +39,27 @@ math::Matrix MaxPool1d::forward(const math::Matrix& input,
             best_idx = start + k;
           }
         }
-        out_chan[t] = best;
-        am_chan[t] = static_cast<std::uint32_t>(best_idx);
+        out[out_base + t] = best;
+        if (argmax != nullptr) {
+          argmax[out_base + t] = static_cast<std::uint32_t>(best_idx);
+        }
       }
     }
   }
+}
+
+math::Matrix MaxPool1d::forward(const math::Matrix& input,
+                                bool /*training*/) {
+  math::Matrix out(input.rows(), output_dimension(input.cols()));
+  cached_rows_ = input.rows();
+  argmax_.assign(out.size(), 0);
+  pool(input.data().data(), input.rows(), out.data().data(), argmax_.data());
   return out;
 }
 
-math::Matrix MaxPool1d::infer(const math::Matrix& input) const {
-  const std::size_t expected = channels_ * in_length_;
-  if (input.cols() != expected) {
-    throw std::invalid_argument("MaxPool1d::forward: input width " +
-                                std::to_string(input.cols()) + " != " +
-                                std::to_string(expected));
-  }
-  const std::size_t out_len = out_length();
-  math::Matrix out(input.rows(), channels_ * out_len, 0.0F);
-  for (std::size_t r = 0; r < input.rows(); ++r) {
-    const float* in_row = input.data().data() + r * input.cols();
-    float* out_row = out.data().data() + r * out.cols();
-    for (std::size_t c = 0; c < channels_; ++c) {
-      const float* in_chan = in_row + c * in_length_;
-      float* out_chan = out_row + c * out_len;
-      for (std::size_t t = 0; t < out_len; ++t) {
-        const std::size_t start = t * window_;
-        float best = in_chan[start];
-        for (std::size_t k = 1; k < window_; ++k) {
-          if (in_chan[start + k] > best) best = in_chan[start + k];
-        }
-        out_chan[t] = best;
-      }
-    }
-  }
+const float* MaxPool1d::infer_into(const float* in, std::size_t rows,
+                                   std::size_t /*width*/, float* out) const {
+  pool(in, rows, out, nullptr);
   return out;
 }
 

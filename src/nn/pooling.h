@@ -18,7 +18,8 @@ class MaxPool1d : public Layer {
   MaxPool1d(std::size_t channels, std::size_t in_length, std::size_t window);
 
   math::Matrix forward(const math::Matrix& input, bool training) override;
-  [[nodiscard]] math::Matrix infer(const math::Matrix& input) const override;
+  const float* infer_into(const float* in, std::size_t rows,
+                          std::size_t width, float* out) const override;
   math::Matrix backward(const math::Matrix& grad_output) override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t output_dimension(
@@ -32,6 +33,12 @@ class MaxPool1d : public Layer {
   [[nodiscard]] std::size_t window() const noexcept { return window_; }
 
  private:
+  /// The one window loop: the first element seeds each window and a
+  /// strictly greater one replaces it. Records each winner's input
+  /// index in `argmax` (forward only) when it is non-null.
+  void pool(const float* in, std::size_t rows, float* out,
+            std::uint32_t* argmax) const noexcept;
+
   std::size_t channels_;
   std::size_t in_length_;
   std::size_t window_;

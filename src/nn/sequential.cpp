@@ -1,5 +1,6 @@
 #include "nn/sequential.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -30,15 +31,37 @@ math::Matrix Sequential::forward(const math::Matrix& input, bool training) {
   return activation;
 }
 
-math::Matrix Sequential::infer(const math::Matrix& input) const {
+void Sequential::infer_into(const float* in, std::size_t rows,
+                            std::size_t width, float* out,
+                            Scratch& scratch) const {
   if (layers_.empty()) {
-    throw std::logic_error("Sequential::infer: no layers");
+    throw std::logic_error("Sequential::infer_into: no layers");
   }
-  math::Matrix activation = input;
-  for (const auto& layer : layers_) {
-    activation = layer->infer(activation);
+  const float* cur = in;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    const std::size_t out_width = layers_[i]->output_dimension(width);
+    float* dst = out;
+    if (i + 1 < layers_.size()) {
+      // The scratch buffer not holding the current activation.
+      std::vector<float>& buf =
+          cur == scratch.a.data() ? scratch.b : scratch.a;
+      if (buf.size() < rows * out_width) buf.resize(rows * out_width);
+      dst = buf.data();
+    }
+    cur = layers_[i]->infer_into(cur, rows, width, dst);
+    width = out_width;
   }
-  return activation;
+  // Only a trailing inference-identity layer leaves the result outside
+  // `out`.
+  if (cur != out) std::copy(cur, cur + rows * width, out);
+}
+
+math::Matrix Sequential::predict(const math::Matrix& input) const {
+  math::Matrix out(input.rows(), output_dimension(input.cols()));
+  Scratch scratch;
+  infer_into(input.data().data(), input.rows(), input.cols(),
+             out.data().data(), scratch);
+  return out;
 }
 
 math::Matrix Sequential::backward(const math::Matrix& grad_output) {

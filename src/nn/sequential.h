@@ -30,16 +30,28 @@ class Sequential {
   [[nodiscard]] math::Matrix forward(const math::Matrix& input,
                                      bool training);
 
-  /// Inference-mode forward (no dropout).
-  [[nodiscard]] math::Matrix predict(const math::Matrix& input) {
-    return forward(input, /*training=*/false);
-  }
+  /// Reusable per-thread ping-pong arena for infer_into. One Scratch
+  /// serves any number of calls on any model; buffers grow on demand
+  /// and never shrink.
+  struct Scratch {
+    std::vector<float> a;
+    std::vector<float> b;
+  };
 
-  /// Thread-safe inference: same arithmetic as predict() but touches no
-  /// mutable layer state, so concurrent infer() calls on one model are
-  /// safe (the parallel batch engine relies on this). Throws
-  /// std::logic_error if empty.
-  [[nodiscard]] math::Matrix infer(const math::Matrix& input) const;
+  /// Inference: runs every layer's infer_into kernel over `rows`
+  /// row-major rows of `width` floats from `in`, ping-ponging through
+  /// `scratch`, and writes rows x output_dimension(width) floats to
+  /// `out` (which must not alias `in` or `scratch`). Dropout is free:
+  /// it hands its input on untouched. Const, and allocation-free once
+  /// `scratch` has grown, so concurrent calls on one model with
+  /// per-thread scratch are safe (every scoring path relies on this).
+  /// Throws std::logic_error if empty and std::invalid_argument on a
+  /// width the layer chain does not accept.
+  void infer_into(const float* in, std::size_t rows, std::size_t width,
+                  float* out, Scratch& scratch) const;
+
+  /// Matrix convenience over infer_into (no dropout, no layer caches).
+  [[nodiscard]] math::Matrix predict(const math::Matrix& input) const;
 
   /// Backward pass through all layers; returns d(loss)/d(input).
   math::Matrix backward(const math::Matrix& grad_output);
@@ -62,8 +74,8 @@ class Sequential {
   /// One line per layer, for logs and model summaries.
   [[nodiscard]] std::string summary() const;
 
-  /// Read-only layer access; FrozenNet::compile walks this to bake the
-  /// stack into a flat op list.
+  /// Read-only layer access, for inspecting the trained stack (e.g.
+  /// the test oracle's layer-by-layer reference forward pass).
   [[nodiscard]] const std::vector<std::unique_ptr<Layer>>& layers()
       const noexcept {
     return layers_;

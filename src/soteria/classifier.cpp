@@ -65,6 +65,11 @@ nn::CnnConfig load_cnn_arch(std::istream& in) {
   arch.input_length =
       static_cast<std::size_t>(io::read_scalar<std::uint64_t>(in));
   arch.classes = static_cast<std::size_t>(io::read_scalar<std::uint64_t>(in));
+  if (arch.classes != dataset::kFamilyCount) {
+    throw std::runtime_error("FamilyClassifier::load: " +
+                             std::to_string(arch.classes) +
+                             " classes, expected one per family");
+  }
   arch.filters = static_cast<std::size_t>(io::read_scalar<std::uint64_t>(in));
   arch.kernel = static_cast<std::size_t>(io::read_scalar<std::uint64_t>(in));
   arch.dense_units =
@@ -74,11 +79,11 @@ nn::CnnConfig load_cnn_arch(std::istream& in) {
   return arch;
 }
 
-/// Grow-only per-thread scratch for the compiled CNNs.
+/// Grow-only per-thread scratch for the CNNs.
 struct Workspace {
   std::vector<float> probs;  ///< logits -> softmax in place
-  nn::FrozenNet::Scratch dbl_scratch;
-  nn::FrozenNet::Scratch lbl_scratch;
+  nn::Sequential::Scratch dbl_scratch;
+  nn::Sequential::Scratch lbl_scratch;
 };
 
 Workspace& workspace() {
@@ -86,14 +91,15 @@ Workspace& workspace() {
   return ws;
 }
 
-/// Softmax + argmax voting over `n` rows of `net`.
-void accumulate(const nn::FrozenNet& net, const float* rows, std::size_t n,
-                nn::FrozenNet::Scratch& scratch, std::vector<float>& probs,
+/// Softmax + argmax voting over `n` rows of `arch`'s `model`.
+void accumulate(const nn::Sequential& model, const nn::CnnConfig& arch,
+                const float* rows, std::size_t n,
+                nn::Sequential::Scratch& scratch, std::vector<float>& probs,
                 std::vector<std::size_t>& votes, std::vector<double>& mass) {
   if (n == 0) return;
-  const std::size_t classes = net.output_dim();
+  const std::size_t classes = arch.classes;
   probs.resize(n * classes);
-  net.infer_into(rows, n, probs.data(), scratch);
+  model.infer_into(rows, n, arch.input_length, probs.data(), scratch);
   for (std::size_t r = 0; r < n; ++r) {
     float* row = probs.data() + r * classes;
     // nn::softmax's row loop: float exp in iteration order, double sum,
@@ -134,6 +140,11 @@ FamilyClassifier FamilyClassifier::train(const LabeledVectors& dbl,
                                          const nn::TrainConfig& training,
                                          double learning_rate,
                                          math::Rng& rng) {
+  if (config.classes != dataset::kFamilyCount) {
+    throw std::invalid_argument("FamilyClassifier: " +
+                                std::to_string(config.classes) +
+                                " classes, expected one per family");
+  }
   const obs::Span span("classifier.train");
   FamilyClassifier classifier;
   classifier.dbl_model_ =
@@ -142,13 +153,7 @@ FamilyClassifier FamilyClassifier::train(const LabeledVectors& dbl,
   classifier.lbl_model_ =
       train_one(lbl, config, training, learning_rate, rng,
                 classifier.lbl_report_, classifier.lbl_arch_);
-  classifier.compile();
   return classifier;
-}
-
-void FamilyClassifier::compile() {
-  dbl_net_ = nn::FrozenNet::compile(dbl_model_, dbl_arch_.input_length);
-  lbl_net_ = nn::FrozenNet::compile(lbl_model_, lbl_arch_.input_length);
 }
 
 void FamilyClassifier::save(std::ostream& out) const {
@@ -167,7 +172,6 @@ FamilyClassifier FamilyClassifier::load(std::istream& in) {
   classifier.lbl_model_ = nn::build_cnn(classifier.lbl_arch_, scratch);
   classifier.dbl_model_.load_parameters(in);
   classifier.lbl_model_.load_parameters(in);
-  classifier.compile();
   return classifier;
 }
 
@@ -176,16 +180,16 @@ void FamilyClassifier::vote(const float* dbl_rows, std::size_t dbl_walks,
                             std::vector<std::size_t>& votes,
                             std::vector<double>& mass) const {
   Workspace& ws = workspace();
-  accumulate(dbl_net_, dbl_rows, dbl_walks, ws.dbl_scratch, ws.probs, votes,
-             mass);
-  accumulate(lbl_net_, lbl_rows, lbl_walks, ws.lbl_scratch, ws.probs, votes,
-             mass);
+  accumulate(dbl_model_, dbl_arch_, dbl_rows, dbl_walks, ws.dbl_scratch,
+             ws.probs, votes, mass);
+  accumulate(lbl_model_, lbl_arch_, lbl_rows, lbl_walks, ws.lbl_scratch,
+             ws.probs, votes, mass);
 }
 
 FamilyClassifier::Tally FamilyClassifier::tally(
     const std::vector<std::vector<float>>& dbl,
     const std::vector<std::vector<float>>& lbl) const {
-  if (!dbl_net_.compiled()) {
+  if (!trained()) {
     throw std::logic_error("FamilyClassifier: not trained");
   }
   const math::Matrix dbl_rows = packed_rows(dbl, dbl_dim());

@@ -3,10 +3,10 @@
 // all per-walk vectors. The class with the most argmax votes wins; vote
 // ties are broken by summed softmax probability.
 //
-// train() and load() compile both CNNs into nn::FrozenNet op lists, and
-// every prediction and vote tally runs those compiled nets. The
-// interpreted formulation survives only as the test oracle
-// (tests/infer/naive_features.h), which they match at 0 ulp.
+// Every prediction and vote tally runs the two trained CNNs through
+// nn::Sequential::infer_into. The test oracle
+// (tests/infer/naive_features.h) recomputes them layer by layer and
+// matches at 0 ulp.
 #pragma once
 
 #include <cstddef>
@@ -18,7 +18,6 @@
 #include "math/matrix.h"
 #include "math/rng.h"
 #include "nn/cnn.h"
-#include "nn/frozen.h"
 #include "nn/sequential.h"
 #include "nn/trainer.h"
 
@@ -35,7 +34,8 @@ class FamilyClassifier {
  public:
   /// Trains both CNNs. `config.input_length` is overridden per model by
   /// the corresponding feature width. Throws std::invalid_argument on
-  /// empty inputs or label/row mismatch.
+  /// empty inputs, label/row mismatch, or `config.classes` other than
+  /// dataset::kFamilyCount (votes are tallied per family).
   static FamilyClassifier train(const LabeledVectors& dbl,
                                 const LabeledVectors& lbl,
                                 const nn::CnnConfig& config,
@@ -64,8 +64,8 @@ class FamilyClassifier {
   /// The vote primitive every prediction runs: adds one argmax vote per
   /// row and the row's softmax probabilities to `votes` / `mass` (both
   /// kFamilyCount long), over `dbl_walks` dbl_dim()-wide rows through
-  /// the compiled DBL CNN, then `lbl_walks` lbl_dim()-wide rows through
-  /// the LBL CNN. Unchecked and obs-free; the caller guarantees a
+  /// the DBL CNN, then `lbl_walks` lbl_dim()-wide rows through the LBL
+  /// CNN. Unchecked and obs-free; the caller guarantees a
   /// trained classifier and the row widths. Safe for concurrent
   /// callers (per-thread scratch).
   void vote(const float* dbl_rows, std::size_t dbl_walks,
@@ -74,10 +74,10 @@ class FamilyClassifier {
 
   /// Per-walk row widths of the two CNNs (0 when untrained).
   [[nodiscard]] std::size_t dbl_dim() const noexcept {
-    return dbl_net_.input_dim();
+    return trained() ? dbl_arch_.input_length : 0;
   }
   [[nodiscard]] std::size_t lbl_dim() const noexcept {
-    return lbl_net_.input_dim();
+    return trained() ? lbl_arch_.input_length : 0;
   }
 
   [[nodiscard]] const nn::TrainReport& dbl_report() const noexcept {
@@ -86,8 +86,7 @@ class FamilyClassifier {
   [[nodiscard]] const nn::TrainReport& lbl_report() const noexcept {
     return lbl_report_;
   }
-  /// The trained CNNs. Read-only: scoring runs their compiled copies,
-  /// which nothing may get out of step with.
+  /// The trained CNNs every vote runs.
   [[nodiscard]] const nn::Sequential& dbl_model() const noexcept {
     return dbl_model_;
   }
@@ -95,8 +94,9 @@ class FamilyClassifier {
     return lbl_model_;
   }
 
-  /// Binary (de)serialization of both CNNs. `load` recompiles them and
-  /// throws std::runtime_error on a corrupt stream.
+  /// Binary (de)serialization of both CNNs. `load` throws
+  /// std::runtime_error on a corrupt stream, including a stored class
+  /// count other than dataset::kFamilyCount.
   void save(std::ostream& out) const;
   [[nodiscard]] static FamilyClassifier load(std::istream& in);
 
@@ -117,15 +117,14 @@ class FamilyClassifier {
   [[nodiscard]] Tally tally(const std::vector<std::vector<float>>& dbl,
                             const std::vector<std::vector<float>>& lbl) const;
 
-  /// Compiles both CNNs for their architectures' input widths.
-  void compile();
+  [[nodiscard]] bool trained() const noexcept {
+    return dbl_model_.layer_count() != 0;
+  }
 
   nn::CnnConfig dbl_arch_;  ///< architectures actually built
   nn::CnnConfig lbl_arch_;
   nn::Sequential dbl_model_;
   nn::Sequential lbl_model_;
-  nn::FrozenNet dbl_net_;  ///< compiled at train/load; runs all scoring
-  nn::FrozenNet lbl_net_;
   nn::TrainReport dbl_report_;
   nn::TrainReport lbl_report_;
 };

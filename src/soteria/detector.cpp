@@ -12,10 +12,10 @@ namespace soteria::core {
 
 namespace {
 
-/// Grow-only per-thread scratch for the compiled autoencoder.
+/// Grow-only per-thread scratch for the autoencoder.
 struct Workspace {
   std::vector<float> recon;
-  nn::FrozenNet::Scratch scratch;
+  nn::Sequential::Scratch scratch;
 };
 
 Workspace& workspace() {
@@ -60,16 +60,15 @@ AeDetector AeDetector::train(const math::Matrix& clean_features,
                                           clean_features, optimizer,
                                           training, rng);
 
-  detector.net_ = nn::FrozenNet::compile(detector.model_, arch.input_dim);
-
   // Calibration split A (the first half of the rows): per-dimension
   // residual statistics.
   const std::size_t dim = clean_features.cols();
   const std::size_t half = calibration_features.rows() / 2;
   const float* part_a = calibration_features.data().data();
   std::vector<float> reconstructed_a(half * dim);
-  nn::FrozenNet::Scratch scratch;
-  detector.net_.infer_into(part_a, half, reconstructed_a.data(), scratch);
+  nn::Sequential::Scratch scratch;
+  detector.model_.infer_into(part_a, half, dim, reconstructed_a.data(),
+                             scratch);
   detector.residual_mean_.assign(dim, 0.0);
   detector.residual_stddev_.assign(dim, 0.0);
   for (std::size_t i = 0; i < half * dim; ++i) {
@@ -116,10 +115,10 @@ AeDetector AeDetector::train(const math::Matrix& clean_features,
 void AeDetector::score_rows(const float* rows, std::size_t n,
                             double* out) const {
   if (n == 0) return;
-  const std::size_t dim = net_.input_dim();
+  const std::size_t dim = arch_.input_dim;
   Workspace& ws = workspace();
   ws.recon.resize(n * dim);
-  net_.infer_into(rows, n, ws.recon.data(), ws.scratch);
+  model_.infer_into(rows, n, dim, ws.recon.data(), ws.scratch);
   for (std::size_t r = 0; r < n; ++r) {
     const float* row = rows + r * dim;
     const float* reconstructed = ws.recon.data() + r * dim;
@@ -136,10 +135,10 @@ void AeDetector::score_rows(const float* rows, std::size_t n,
 
 std::vector<double> AeDetector::scores(
     const math::Matrix& features) const {
-  if (!net_.compiled()) {
+  if (!calibrated()) {
     throw std::logic_error("AeDetector::scores: detector not calibrated");
   }
-  if (features.cols() != net_.input_dim()) {
+  if (features.cols() != arch_.input_dim) {
     throw std::invalid_argument("AeDetector::scores: width mismatch");
   }
   const obs::Span span("detector.score");
@@ -202,8 +201,6 @@ AeDetector AeDetector::load(std::istream& in) {
     throw std::runtime_error(
         "AeDetector::load: residual statistics size mismatch");
   }
-  detector.net_ =
-      nn::FrozenNet::compile(detector.model_, detector.arch_.input_dim);
   return detector;
 }
 

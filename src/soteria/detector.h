@@ -12,11 +12,11 @@
 // samples), keeping the whole procedure blind to the test set and to
 // any adversarial data — the paper's operational requirement.
 //
-// train() and load() compile the autoencoder into an nn::FrozenNet, and
-// every score — calibration, scores(), sample_error() and the system's
-// analysis path — runs that one compiled net. The interpreted
-// formulation survives only as the test oracle
-// (tests/infer/naive_features.h), which it matches at 0 ulp.
+// Every score — calibration, scores(), sample_error() and the system's
+// analysis path — runs the trained autoencoder through
+// nn::Sequential::infer_into. The test oracle
+// (tests/infer/naive_features.h) recomputes it layer by layer and
+// matches at 0 ulp.
 #pragma once
 
 #include <cstddef>
@@ -26,7 +26,6 @@
 #include "math/matrix.h"
 #include "math/rng.h"
 #include "nn/autoencoder.h"
-#include "nn/frozen.h"
 #include "nn/sequential.h"
 #include "nn/trainer.h"
 
@@ -63,7 +62,7 @@ class AeDetector {
 
   /// The score primitive every scoring call runs: writes the RMS of the
   /// standardized reconstruction residuals of each of the `n`
-  /// input_dim()-wide row-major `rows` to `out`, through the compiled
+  /// input_dim()-wide row-major `rows` to `out`, through the
   /// autoencoder. Unchecked and obs-free; the caller guarantees a
   /// calibrated detector and the row width. Safe for concurrent
   /// callers (per-thread scratch).
@@ -71,7 +70,7 @@ class AeDetector {
 
   /// Width of the rows the detector scores (0 when uncalibrated).
   [[nodiscard]] std::size_t input_dim() const noexcept {
-    return net_.input_dim();
+    return calibrated() ? arch_.input_dim : 0;
   }
 
   /// Per-dimension residual standardization tables (calibration A).
@@ -98,15 +97,15 @@ class AeDetector {
     return report_;
   }
 
-  /// The trained autoencoder. Read-only: scoring runs its compiled
-  /// copy, which nothing may get out of step with.
+  /// The trained autoencoder every score runs. Read-only: the residual
+  /// statistics and threshold were calibrated on these weights.
   [[nodiscard]] const nn::Sequential& model() const noexcept {
     return model_;
   }
 
   /// Binary (de)serialization: architecture, weights, residual
-  /// statistics, and threshold calibration. `load` recompiles the
-  /// network and throws std::runtime_error on a corrupt stream.
+  /// statistics, and threshold calibration. `load` throws
+  /// std::runtime_error on a corrupt stream.
   void save(std::ostream& out) const;
   [[nodiscard]] static AeDetector load(std::istream& in);
 
@@ -116,8 +115,11 @@ class AeDetector {
 
  private:
   nn::AutoencoderConfig arch_;  ///< architecture actually built
+  [[nodiscard]] bool calibrated() const noexcept {
+    return !residual_mean_.empty();
+  }
+
   nn::Sequential model_;
-  nn::FrozenNet net_;  ///< model_ compiled at train/load; runs all scoring
   nn::TrainReport report_;
   std::vector<double> residual_mean_;    ///< per-dimension, calibration A
   std::vector<double> residual_stddev_;  ///< per-dimension, calibration A

@@ -67,7 +67,7 @@ struct AnalyzeOptions {
 /// Full per-query view of what the fitted system thinks of one feature
 /// bundle — the oracle surface white-/gray-box attackers (attack::
 /// QueryOracle) optimize against. Everything here comes from the same
-/// compiled networks a Verdict uses, in one pass; exposing it in one
+/// networks a Verdict uses, in one pass; exposing it in one
 /// struct just keeps attacker code from re-plumbing the pieces.
 struct FeatureScores {
   double detector_score = 0.0;  ///< standardized-residual RMS

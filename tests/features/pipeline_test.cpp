@@ -66,7 +66,8 @@ TEST(Pipeline, ExtractShapesMatchConfig) {
   EXPECT_EQ(features.pooled_dbl.size(), pipeline.dbl_vocabulary().size());
   EXPECT_EQ(features.pooled_combined().size(),
             pipeline.combined_dimension());
-  EXPECT_EQ(features.combined(0).size(), pipeline.combined_dimension());
+  EXPECT_EQ(features.dbl[0].size() + features.lbl[0].size(),
+            pipeline.combined_dimension());
 }
 
 TEST(Pipeline, CombinedConcatenatesInOrder) {
@@ -74,15 +75,16 @@ TEST(Pipeline, CombinedConcatenatesInOrder) {
   const auto corpus = small_corpus(5, rng);
   const auto pipeline = FeaturePipeline::fit(corpus, tiny_config(), rng);
   const auto features = pipeline.extract(corpus[1], rng);
-  const auto combined = features.combined(1);
-  for (std::size_t i = 0; i < features.dbl[1].size(); ++i) {
-    EXPECT_FLOAT_EQ(combined[i], features.dbl[1][i]);
+  const auto combined = features.pooled_combined();
+  ASSERT_EQ(combined.size(),
+            features.pooled_dbl.size() + features.pooled_lbl.size());
+  for (std::size_t i = 0; i < features.pooled_dbl.size(); ++i) {
+    EXPECT_FLOAT_EQ(combined[i], features.pooled_dbl[i]);
   }
-  for (std::size_t i = 0; i < features.lbl[1].size(); ++i) {
-    EXPECT_FLOAT_EQ(combined[features.dbl[1].size() + i],
-                    features.lbl[1][i]);
+  for (std::size_t i = 0; i < features.pooled_lbl.size(); ++i) {
+    EXPECT_FLOAT_EQ(combined[features.pooled_dbl.size() + i],
+                    features.pooled_lbl[i]);
   }
-  EXPECT_THROW((void)features.combined(99), std::out_of_range);
 }
 
 TEST(Pipeline, ExtractionIsDeterministicGivenRng) {

@@ -130,8 +130,8 @@ TEST_F(FrontendE2E, MalformedImagesAreTypedErrors) {
   }
 }
 
-// Bytes to verdict through the compiled path equals the reference
-// oracle (map-based extraction + interpreted networks) on the CFG the
+// Bytes to verdict through the analysis path equals the reference
+// oracle (map-based extraction + reference networks) on the CFG the
 // front end decodes.
 TEST_F(FrontendE2E, FrozenPathBitIdentical) {
   const auto& sample = binary_sample();

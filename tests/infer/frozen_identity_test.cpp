@@ -1,28 +1,35 @@
-// The compiled analysis path's whole-system identity contract:
-// FrozenNet must reproduce Sequential::infer bit-for-bit, and
-// SoteriaSystem (fused extraction + compiled networks) must emit
+// The analysis path's whole-system identity contract:
+// Sequential::infer_into (the one inference path every score runs)
+// must reproduce the layer-by-layer reference_forward bit-for-bit, and
+// SoteriaSystem (fused extraction + the trained networks) must emit
 // verdicts bitwise-identical to the reference oracle in
-// naive_features.h (map-based extraction + interpreted networks) —
+// naive_features.h (map-based extraction + reference networks) —
 // across thread counts, with and without the feature store, and
 // through every analyze entry point. Scores are compared with
 // EXPECT_EQ on the doubles: the documented tolerance is 0 ulp, because
-// the compiled path replicates the reference arithmetic operation for
+// the library replicates the reference arithmetic operation for
 // operation.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dataset/generator.h"
 #include "infer/naive_features.h"
 #include "math/rng.h"
+#include "nn/activations.h"
 #include "nn/autoencoder.h"
 #include "nn/cnn.h"
-#include "nn/frozen.h"
+#include "nn/conv1d.h"
+#include "nn/dense.h"
+#include "nn/dropout.h"
+#include "nn/pooling.h"
 #include "soteria/error.h"
 #include "soteria/presets.h"
 #include "soteria/system.h"
@@ -31,29 +38,45 @@
 namespace soteria::core {
 namespace {
 
-void expect_net_matches(const nn::Sequential& model, std::size_t input_dim,
-                        std::size_t rows, math::Rng& rng) {
-  const nn::FrozenNet net = nn::FrozenNet::compile(model, input_dim);
-  EXPECT_EQ(net.output_dim(), model.output_dimension(input_dim));
-  math::Matrix in(rows, input_dim);
-  in.fill_uniform(rng, -1.5F, 1.5F);
-  const math::Matrix oracle = model.infer(in);
-  std::vector<float> fused(rows * net.output_dim(), -7.0F);
-  nn::FrozenNet::Scratch scratch;
-  net.infer_into(in.data().data(), rows, fused.data(), scratch);
-  ASSERT_EQ(fused.size(), oracle.data().size());
-  EXPECT_EQ(0, std::memcmp(fused.data(), oracle.data().data(),
-                           fused.size() * sizeof(float)));
+/// infer_into over `in` through `scratch`, into a buffer pre-filled
+/// with a sentinel so an unwritten output cell shows.
+std::vector<float> infer_rows(const nn::Sequential& model,
+                              const math::Matrix& in,
+                              nn::Sequential::Scratch& scratch) {
+  std::vector<float> out(
+      in.rows() * model.output_dimension(in.cols()), -7.0F);
+  model.infer_into(in.data().data(), in.rows(), in.cols(), out.data(),
+                   scratch);
+  return out;
 }
 
+void expect_bitwise(std::span<const float> got,
+                    std::span<const float> want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                           got.size() * sizeof(float)));
+}
+
+void expect_net_matches(const nn::Sequential& model, std::size_t input_dim,
+                        std::size_t rows, math::Rng& rng) {
+  math::Matrix in(rows, input_dim);
+  in.fill_uniform(rng, -1.5F, 1.5F);
+  nn::Sequential::Scratch scratch;
+  const math::Matrix want = nn::reference_forward(model, in);
+  expect_bitwise(infer_rows(model, in, scratch), want.data());
+  expect_bitwise(model.predict(in).data(), want.data());
+}
+
+// FrozenNetTest keeps its established test IDs; its cases pin
+// Sequential::infer_into and predict against reference_forward.
 TEST(FrozenNetTest, CnnMatchesSequentialBitwise) {
   math::Rng rng(61);
   nn::CnnConfig arch;
   arch.input_length = 60;
   arch.filters = 6;
   arch.dense_units = 24;
-  // Dropout layers are present in the built model and must compile
-  // away as inference identities.
+  // Dropout layers are present in the built model and must pass their
+  // input through untouched.
   nn::Sequential model = nn::build_cnn(arch, rng);
   for (const std::size_t rows : {1U, 3U, 8U}) {
     expect_net_matches(model, arch.input_length, rows, rng);
@@ -77,18 +100,76 @@ TEST(FrozenNetTest, ScratchIsReusableAcrossBatchSizes) {
   arch.input_dim = 20;
   arch.hidden_dims = {16};
   nn::Sequential model = nn::build_autoencoder(arch, rng);
-  const nn::FrozenNet net = nn::FrozenNet::compile(model, arch.input_dim);
-  nn::FrozenNet::Scratch scratch;
+  nn::Sequential::Scratch scratch;
   // Shrinking then growing the batch must not disturb results: buffers
   // are grow-only and fully overwritten per call.
   for (const std::size_t rows : {6U, 1U, 9U, 2U}) {
     math::Matrix in(rows, arch.input_dim);
     in.fill_uniform(rng, -1.0F, 1.0F);
-    const math::Matrix oracle = model.infer(in);
-    std::vector<float> fused(rows * net.output_dim());
-    net.infer_into(in.data().data(), rows, fused.data(), scratch);
-    EXPECT_EQ(0, std::memcmp(fused.data(), oracle.data().data(),
-                             fused.size() * sizeof(float)));
+    expect_bitwise(infer_rows(model, in, scratch),
+                   nn::reference_forward(model, in).data());
+  }
+}
+
+// Layers and shapes build_cnn and build_autoencoder never produce:
+// Sigmoid, a max-pool window that leaves a trailing remainder,
+// mid-stack Dropout and a trailing Dropout (whose result is the
+// previous layer's).
+nn::Sequential hand_built_stack(math::Rng& rng) {
+  nn::Sequential model;
+  model.emplace<nn::Dense>(12, 26, rng);
+  model.emplace<nn::Sigmoid>();
+  model.emplace<nn::Conv1d>(2, 13, 3, 3, rng);    // -> 3 x 11
+  model.emplace<nn::MaxPool1d>(3, 11, 3);         // -> 3 x 3, drops 2
+  model.emplace<nn::Dropout>(0.3, rng);
+  model.emplace<nn::Dense>(9, 4, rng);
+  model.emplace<nn::Sigmoid>();
+  model.emplace<nn::Dropout>(0.5, rng);
+  return model;
+}
+
+TEST(SequentialInferTest, SigmoidPoolRemainderAndTrailingDropoutMatch) {
+  math::Rng rng(64);
+  const nn::Sequential model = hand_built_stack(rng);
+  ASSERT_EQ(model.output_dimension(12), 4U);
+  for (const std::size_t rows : {1U, 4U, 7U}) {
+    expect_net_matches(model, 12, rows, rng);
+  }
+}
+
+// Scoring shares one trained Sequential across the worker threads,
+// each with its own scratch.
+TEST(SequentialInferTest, ConcurrentCallsOnSharedModelMatchSerial) {
+  math::Rng rng(65);
+  nn::CnnConfig arch;
+  arch.input_length = 40;
+  arch.filters = 4;
+  arch.dense_units = 16;
+  const nn::Sequential model = nn::build_cnn(arch, rng);
+  constexpr std::size_t kThreads = 4;
+  std::vector<math::Matrix> inputs;
+  std::vector<std::vector<float>> serial;
+  nn::Sequential::Scratch serial_scratch;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    math::Matrix in(3 + t, arch.input_length);
+    in.fill_uniform(rng, -1.0F, 1.0F);
+    serial.push_back(infer_rows(model, in, serial_scratch));
+    inputs.push_back(std::move(in));
+  }
+  std::vector<std::vector<float>> parallel(kThreads);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      nn::Sequential::Scratch scratch;
+      for (int round = 0; round < 8; ++round) {
+        parallel[t] = infer_rows(model, inputs[t], scratch);
+      }
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE("thread " + std::to_string(t));
+    expect_bitwise(parallel[t], serial[t]);
   }
 }
 
@@ -280,7 +361,7 @@ TEST_F(FrozenSystemFixture, StoreOnAndOffAreIdenticalThroughFrozenPath) {
   EXPECT_EQ(stats_after_warm.hits, stats_after_cold.hits + cfgs.size());
 
   // The entries analysis wrote are the bundles extract_stored serves,
-  // and the interpreted networks reach the same verdicts on them.
+  // and the reference networks reach the same verdicts on them.
   for (std::size_t i = 0; i < cfgs.size(); ++i) {
     const auto features =
         system->pipeline().extract_stored(cfgs[i], rng.child(i), store.get());

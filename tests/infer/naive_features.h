@@ -4,13 +4,17 @@
 //
 //   labeled_walks (DBL, then LBL) -> per-window pack_gram counting into
 //   an unordered_map per walk -> map TF-IDF against the vocabulary ->
-//   the interpreted networks (nn::Sequential::infer), with the
-//   detector's standardized-residual score and the classifiers'
-//   softmax vote written out here.
+//   the trained networks evaluated layer by layer (reference_forward),
+//   with the detector's standardized-residual score and the
+//   classifiers' softmax vote written out here.
 //
-// Nothing in it calls the library's gram counters or the AeDetector /
-// FamilyClassifier scoring methods: those run the compiled networks
-// this oracle checks.
+// Nothing in it calls the library's gram counters, any Sequential or
+// Layer inference method, or the AeDetector / FamilyClassifier scoring
+// methods: those are what this oracle checks. reference_forward uses
+// only the two raw kernels math::matmul and nn::conv1d_infer_into,
+// which blocked_gemm_test pins to the naive loops in naive_kernels.h;
+// the bias add and the ReLU, Sigmoid and max-pool loops are written out
+// here.
 //
 // tests/infer/frozen_identity_test and tests/frontend/end_to_end_test
 // pin the library's verdicts to reference_verdict at 0 ulp, and
@@ -29,6 +33,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cfg/labeling.h"
@@ -37,8 +42,15 @@
 #include "features/pipeline.h"
 #include "features/random_walk.h"
 #include "features/vocabulary.h"
+#include "math/matrix.h"
 #include "math/rng.h"
+#include "nn/activations.h"
+#include "nn/conv1d.h"
+#include "nn/dense.h"
+#include "nn/dropout.h"
 #include "nn/loss.h"
+#include "nn/pooling.h"
+#include "nn/sequential.h"
 #include "soteria/system.h"
 
 namespace soteria::features {
@@ -130,14 +142,75 @@ inline SampleFeatures reference_extract(const FeaturePipeline& pipeline,
 
 }  // namespace soteria::features
 
+namespace soteria::nn {
+
+/// Inference through `model`, one layer at a time, each layer's
+/// arithmetic written out (or, for the two GEMM-shaped layers, run
+/// through the raw kernel the layer wraps). Dropout is the identity.
+inline math::Matrix reference_forward(const Sequential& model,
+                                      const math::Matrix& input) {
+  if (model.layer_count() == 0) {
+    throw std::logic_error("reference_forward: no layers");
+  }
+  math::Matrix x = input;
+  for (const auto& layer : model.layers()) {
+    if (const auto* dense = dynamic_cast<const Dense*>(layer.get())) {
+      math::Matrix y = math::matmul(x, dense->weights());
+      for (std::size_t r = 0; r < y.rows(); ++r) {
+        for (std::size_t c = 0; c < y.cols(); ++c) {
+          y(r, c) += dense->bias()(0, c);
+        }
+      }
+      x = std::move(y);
+    } else if (dynamic_cast<const Relu*>(layer.get()) != nullptr) {
+      for (float& v : x.data()) v = v > 0.0F ? v : 0.0F;
+    } else if (dynamic_cast<const Sigmoid*>(layer.get()) != nullptr) {
+      for (float& v : x.data()) v = 1.0F / (1.0F + std::exp(-v));
+    } else if (const auto* conv = dynamic_cast<const Conv1d*>(layer.get())) {
+      math::Matrix y(x.rows(), conv->output_dimension(x.cols()));
+      conv1d_infer_into(x.data().data(), y.data().data(),
+                        conv->weights().data().data(),
+                        conv->bias().data().data(), x.rows(),
+                        conv->in_channels(), conv->in_length(),
+                        conv->out_channels(), conv->kernel());
+      x = std::move(y);
+    } else if (const auto* pool =
+                   dynamic_cast<const MaxPool1d*>(layer.get())) {
+      const std::size_t len = pool->in_length();
+      const std::size_t out_len = len / pool->window();
+      math::Matrix y(x.rows(), pool->output_dimension(x.cols()));
+      for (std::size_t r = 0; r < x.rows(); ++r) {
+        for (std::size_t c = 0; c < pool->channels(); ++c) {
+          for (std::size_t t = 0; t < out_len; ++t) {
+            const std::size_t start = c * len + t * pool->window();
+            float best = x(r, start);
+            for (std::size_t k = 1; k < pool->window(); ++k) {
+              if (x(r, start + k) > best) best = x(r, start + k);
+            }
+            y(r, c * out_len + t) = best;
+          }
+        }
+      }
+      x = std::move(y);
+    } else if (dynamic_cast<const Dropout*>(layer.get()) == nullptr) {
+      throw std::invalid_argument("reference_forward: no reference for " +
+                                  layer->name());
+    }
+  }
+  return x;
+}
+
+}  // namespace soteria::nn
+
 namespace soteria::core {
 
-/// The detector score of one pooled row through the interpreted
-/// autoencoder: the RMS of the reconstruction residuals, each
+/// The detector score of one pooled row through the reference
+/// autoencoder forward pass: the RMS of the reconstruction residuals, each
 /// standardized by the calibration statistics.
 inline double reference_score(const AeDetector& detector,
                               const math::Matrix& pooled) {
-  const math::Matrix reconstructed = detector.model().infer(pooled);
+  const math::Matrix reconstructed =
+      nn::reference_forward(detector.model(), pooled);
   double acc = 0.0;
   for (std::size_t c = 0; c < pooled.cols(); ++c) {
     const double z = (static_cast<double>(reconstructed(0, c)) -
@@ -148,14 +221,15 @@ inline double reference_score(const AeDetector& detector,
   return std::sqrt(acc / static_cast<double>(pooled.cols()));
 }
 
-/// One CNN's vote over per-walk vectors: softmax of the interpreted
+/// One CNN's vote over per-walk vectors: softmax of the reference
 /// logits, one argmax vote per row, summed probability mass.
 inline void reference_vote(const nn::Sequential& model,
                            const std::vector<std::vector<float>>& vectors,
                            std::vector<std::size_t>& votes,
                            std::vector<double>& mass) {
   if (vectors.empty()) return;
-  const math::Matrix probs = nn::softmax(model.infer(pack_rows(vectors)));
+  const math::Matrix probs =
+      nn::softmax(nn::reference_forward(model, pack_rows(vectors)));
   for (std::size_t r = 0; r < probs.rows(); ++r) {
     const auto row = probs.row(r);
     ++votes[static_cast<std::size_t>(
@@ -164,7 +238,7 @@ inline void reference_vote(const nn::Sequential& model,
   }
 }
 
-/// A verdict through the interpreted networks over a given bundle:
+/// A verdict through the reference networks over a given bundle:
 /// most votes wins, ties go to the larger probability mass, then to the
 /// lower class index.
 inline Verdict reference_verdict(const SoteriaSystem& system,
@@ -190,7 +264,7 @@ inline Verdict reference_verdict(const SoteriaSystem& system,
 }
 
 /// SoteriaSystem::analyze the reference way: map-based extraction with
-/// walks from `rng`, then the interpreted networks.
+/// walks from `rng`, then the reference networks.
 inline Verdict reference_analyze(const SoteriaSystem& system,
                                  const cfg::Cfg& cfg, math::Rng& rng) {
   return reference_verdict(

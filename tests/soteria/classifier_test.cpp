@@ -120,7 +120,7 @@ TEST(FamilyClassifier, BatchPredictionsMatchClassCount) {
   EXPECT_EQ(total, data.features.rows());
 }
 
-// The compiled networks exist only after train() or load(): an untrained
+// The networks exist only after train() or load(): an untrained
 // classifier must refuse to score rather than run an empty network.
 TEST(FamilyClassifier, UntrainedClassifierThrows) {
   const FamilyClassifier classifier;

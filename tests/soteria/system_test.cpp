@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
+#include <string>
 
 #include "cfg/gea.h"
 #include "dataset/adversarial.h"
 #include "dataset/generator.h"
+#include "soteria/error.h"
 #include "soteria/presets.h"
 
 namespace soteria::core {
@@ -217,6 +221,41 @@ TEST_F(SystemFixture, ClassifierLoadRejectsCorruptStreams) {
   // architecture blocks; clobbering its magic must be rejected.
   std::istringstream corrupted(corrupt_bytes(bytes, 112, 4));
   EXPECT_THROW((void)FamilyClassifier::load(corrupted), std::runtime_error);
+}
+
+// Votes are tallied per family, so a CNN with any other class count
+// has no valid verdict: training refuses it, and so does loading a
+// model whose stored class count was altered.
+TEST_F(SystemFixture, TrainRejectsClassCountOtherThanFamilies) {
+  SoteriaConfig config = tiny_config();
+  config.seed = 17;
+  config.cnn.classes = dataset::kFamilyCount + 1;
+  EXPECT_THROW((void)SoteriaSystem::train(data->train, config),
+               std::invalid_argument);
+}
+
+TEST_F(SystemFixture, LoadRejectsStoredClassCountOtherThanFamilies) {
+  const std::string bytes = save_system(*system);
+  std::stringstream classifier;
+  system->classifier().save(classifier);
+  // The classifier section comes last; each of its two architecture
+  // blocks stores `classes` after the 8-byte input_length.
+  const std::size_t section = bytes.size() - classifier.str().size();
+  for (const std::size_t block : {std::size_t{0}, std::size_t{56}}) {
+    std::string patched = bytes;
+    const auto classes = static_cast<std::uint64_t>(dataset::kFamilyCount + 1);
+    std::memcpy(patched.data() + section + block + 8, &classes,
+                sizeof(classes));
+    std::istringstream in(patched);
+    try {
+      (void)SoteriaSystem::load(in);
+      ADD_FAILURE() << "load accepted a class count patched at " << block;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorruptModel);
+      EXPECT_NE(std::string(e.what()).find("classes"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SoteriaConfigValidation, CatchesBadKnobs) {
