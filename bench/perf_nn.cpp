@@ -79,7 +79,7 @@ void BM_AutoencoderForward(benchmark::State& state) {
   math::Matrix batch(64, 1000);
   batch.fill_normal(rng, 0.0F, 0.05F);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.forward(batch, false));
+    benchmark::DoNotOptimize(model.predict(batch));
   }
 }
 BENCHMARK(BM_AutoencoderForward);
@@ -96,7 +96,7 @@ void BM_AutoencoderTrainStep(benchmark::State& state) {
   batch.fill_normal(rng, 0.0F, 0.05F);
   for (auto _ : state) {
     model.zero_gradients();
-    const auto out = model.forward(batch, true);
+    const auto out = model.forward(batch);
     const auto loss = nn::mse_loss(out, batch);
     model.backward(loss.gradient);
     optimizer.step(params);
@@ -115,7 +115,7 @@ void BM_CnnForward(benchmark::State& state) {
   math::Matrix batch(32, 500);
   batch.fill_normal(rng, 0.0F, 0.05F);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.forward(batch, false));
+    benchmark::DoNotOptimize(model.predict(batch));
   }
 }
 BENCHMARK(BM_CnnForward)->Arg(16)->Arg(46);
@@ -135,7 +135,7 @@ void BM_CnnTrainStep(benchmark::State& state) {
   for (std::size_t i = 0; i < 32; ++i) labels[i] = i % 4;
   for (auto _ : state) {
     model.zero_gradients();
-    const auto logits = model.forward(batch, true);
+    const auto logits = model.forward(batch);
     const auto loss = nn::softmax_cross_entropy(logits, labels);
     model.backward(loss.gradient);
     optimizer.step(params);

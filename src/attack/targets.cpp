@@ -7,28 +7,12 @@
 
 namespace soteria::attack {
 
-std::vector<const dataset::Sample*> family_members(
-    std::span<const dataset::Sample> corpus, dataset::Family family) {
-  std::vector<const dataset::Sample*> members;
-  for (const dataset::Sample& s : corpus) {
-    if (s.family == family) members.push_back(&s);
-  }
-  std::sort(members.begin(), members.end(),
-            [](const dataset::Sample* a, const dataset::Sample* b) {
-              if (a->cfg.node_count() != b->cfg.node_count()) {
-                return a->cfg.node_count() < b->cfg.node_count();
-              }
-              return a->id < b->id;
-            });
-  return members;
-}
-
 namespace {
 
 std::vector<const dataset::Sample*> require_members(
     std::span<const dataset::Sample> corpus, dataset::Family family,
     const char* what) {
-  auto members = family_members(corpus, family);
+  auto members = dataset::family_members(corpus, family);
   if (members.empty()) {
     throw core::Error(core::ErrorCode::kInvalidArgument,
                       std::string(what) + ": corpus has no samples of " +
@@ -42,13 +26,8 @@ std::vector<const dataset::Sample*> require_members(
 const dataset::Sample& select_target(
     std::span<const dataset::Sample> corpus, dataset::Family family,
     dataset::TargetSize size) {
-  const auto members = require_members(corpus, family, "select_target");
-  switch (size) {
-    case dataset::TargetSize::kSmall: return *members.front();
-    case dataset::TargetSize::kMedium: return *members[members.size() / 2];
-    case dataset::TargetSize::kLarge: return *members.back();
-  }
-  return *members.front();
+  return dataset::target_member(
+      require_members(corpus, family, "select_target"), size);
 }
 
 std::vector<const dataset::Sample*> spread_targets(

@@ -14,22 +14,17 @@
 
 namespace soteria::attack {
 
-/// The members of `family` in `corpus`, sorted by ascending CFG node
-/// count (ties by sample id) — the ordering every bucket selection
-/// derives from. Pointers into `corpus`; empty if the family is absent.
-[[nodiscard]] std::vector<const dataset::Sample*> family_members(
-    std::span<const dataset::Sample> corpus, dataset::Family family);
-
-/// The `size`-bucket target of `family`: smallest / median / largest
-/// member by node count (paper Section IV-A's Small/Medium/Large).
-/// Throws core::Error{kInvalidArgument} when the family has no members.
+/// The `size`-bucket target of `family` (paper Section IV-A's
+/// Small/Medium/Large), picked by dataset::target_member like
+/// dataset::select_targets. Throws core::Error{kInvalidArgument} when
+/// the family has no members.
 [[nodiscard]] const dataset::Sample& select_target(
     std::span<const dataset::Sample> corpus, dataset::Family family,
     dataset::TargetSize size);
 
-/// Up to `count` members of `family` spread evenly across the sorted
-/// size range (always including the extremes when count >= 2) — the
-/// candidate pool guided attackers score. Throws
+/// Up to `count` members of `family` spread evenly across the
+/// dataset::family_members order (always including the extremes when
+/// count >= 2) — the candidate pool guided attackers score. Throws
 /// core::Error{kInvalidArgument} when the family has no members.
 [[nodiscard]] std::vector<const dataset::Sample*> spread_targets(
     std::span<const dataset::Sample> corpus, dataset::Family family,

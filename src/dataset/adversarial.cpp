@@ -14,16 +14,11 @@ const char* target_size_name(TargetSize size) noexcept {
   return "Unknown";
 }
 
-std::vector<GeaTarget> select_targets(std::span<const Sample> samples,
-                                      Family family) {
+std::vector<const Sample*> family_members(std::span<const Sample> samples,
+                                          Family family) {
   std::vector<const Sample*> members;
   for (const auto& s : samples) {
     if (s.family == family) members.push_back(&s);
-  }
-  if (members.empty()) {
-    throw std::invalid_argument(std::string("select_targets: no samples of "
-                                            "class ") +
-                                family_name(family));
   }
   std::sort(members.begin(), members.end(),
             [](const Sample* a, const Sample* b) {
@@ -32,20 +27,39 @@ std::vector<GeaTarget> select_targets(std::span<const Sample> samples,
               }
               return a->id < b->id;
             });
+  return members;
+}
 
-  const auto make_target = [family](const Sample& s, TargetSize size) {
+const Sample& target_member(std::span<const Sample* const> members,
+                            TargetSize size) {
+  switch (size) {
+    case TargetSize::kSmall: return *members.front();
+    case TargetSize::kMedium: return *members[members.size() / 2];
+    case TargetSize::kLarge: return *members.back();
+  }
+  return *members.front();
+}
+
+std::vector<GeaTarget> select_targets(std::span<const Sample> samples,
+                                      Family family) {
+  const auto members = family_members(samples, family);
+  if (members.empty()) {
+    throw std::invalid_argument(std::string("select_targets: no samples of "
+                                            "class ") +
+                                family_name(family));
+  }
+  std::vector<GeaTarget> targets;
+  for (TargetSize size :
+       {TargetSize::kSmall, TargetSize::kMedium, TargetSize::kLarge}) {
+    const Sample& s = target_member(members, size);
     GeaTarget t;
     t.family = family;
     t.size = size;
     t.node_count = s.cfg.node_count();
     t.cfg = s.cfg;
-    return t;
-  };
-  return {
-      make_target(*members.front(), TargetSize::kSmall),
-      make_target(*members[members.size() / 2], TargetSize::kMedium),
-      make_target(*members.back(), TargetSize::kLarge),
-  };
+    targets.push_back(std::move(t));
+  }
+  return targets;
 }
 
 std::vector<GeaTarget> select_all_targets(std::span<const Sample> samples) {
@@ -71,17 +85,6 @@ std::vector<AdversarialExample> generate_adversarial_set(
     aes.push_back(std::move(ae));
   }
   return aes;
-}
-
-std::vector<AdversarialExample> generate_full_adversarial_set(
-    std::span<const Sample> test, std::span<const GeaTarget> targets) {
-  std::vector<AdversarialExample> all;
-  for (const auto& target : targets) {
-    auto aes = generate_adversarial_set(test, target);
-    all.insert(all.end(), std::make_move_iterator(aes.begin()),
-               std::make_move_iterator(aes.end()));
-  }
-  return all;
 }
 
 }  // namespace soteria::dataset

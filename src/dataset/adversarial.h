@@ -42,6 +42,18 @@ struct AdversarialExample {
   TargetSize target_size = TargetSize::kSmall;
 };
 
+/// The members of `family` in `samples`, sorted by ascending CFG node
+/// count (ties by sample id): the order every target selection derives
+/// from. Pointers into `samples`; empty if the family is absent.
+[[nodiscard]] std::vector<const Sample*> family_members(
+    std::span<const Sample> samples, Family family);
+
+/// The `size`-bucket target among non-empty `members` sorted as by
+/// family_members: the smallest, the median (index size/2) or the
+/// largest member by node count.
+[[nodiscard]] const Sample& target_member(
+    std::span<const Sample* const> members, TargetSize size);
+
 /// Picks the small/median/large targets of `family` from `samples`
 /// (paper: selected from the whole dataset). Throws
 /// std::invalid_argument if the class has no samples.
@@ -56,9 +68,5 @@ struct AdversarialExample {
 /// differs from the target's class.
 [[nodiscard]] std::vector<AdversarialExample> generate_adversarial_set(
     std::span<const Sample> test, const GeaTarget& target);
-
-/// The full adversarial dataset: concatenation over all 12 targets.
-[[nodiscard]] std::vector<AdversarialExample> generate_full_adversarial_set(
-    std::span<const Sample> test, std::span<const GeaTarget> targets);
 
 }  // namespace soteria::dataset

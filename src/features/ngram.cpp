@@ -134,16 +134,6 @@ GramKey pack_gram(std::span<const cfg::Label> labels) {
   return key;
 }
 
-std::vector<cfg::Label> unpack_gram(GramKey key) {
-  const std::size_t len = gram_length(key);
-  std::vector<cfg::Label> labels(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    labels[i] = static_cast<cfg::Label>((key >> (kGramLabelBits * i)) &
-                                        kGramLabelMask);
-  }
-  return labels;
-}
-
 std::size_t gram_length(GramKey key) noexcept {
   return static_cast<std::size_t>(key >> kGramLengthShift);
 }
@@ -152,16 +142,6 @@ std::uint64_t total_occurrences(const GramCounts& counts) {
   std::uint64_t total = 0;
   for (const auto& [key, count] : counts) total += count;
   return total;
-}
-
-std::string gram_to_string(GramKey key) {
-  const auto labels = unpack_gram(key);
-  std::string text;
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (i > 0) text += '-';
-    text += std::to_string(labels[i]);
-  }
-  return text;
 }
 
 // ---------------------------------------------------------------------------

@@ -54,17 +54,11 @@ inline constexpr std::uint64_t kGramLengthShift =
 /// core::Error{kOutOfRange} for a label above kMaxGramLabel.
 [[nodiscard]] GramKey pack_gram(std::span<const cfg::Label> labels);
 
-/// Reverses pack_gram.
-[[nodiscard]] std::vector<cfg::Label> unpack_gram(GramKey key);
-
 /// Gram length stored in a key.
 [[nodiscard]] std::size_t gram_length(GramKey key) noexcept;
 
 /// Total number of gram occurrences recorded in `counts`.
 [[nodiscard]] std::uint64_t total_occurrences(const GramCounts& counts);
-
-/// Human-readable gram, e.g. "3-1-4".
-[[nodiscard]] std::string gram_to_string(GramKey key);
 
 /// Open-addressing gram counter: power-of-two capacity, linear
 /// probing, key 0 as the empty sentinel (a packed key is never 0).

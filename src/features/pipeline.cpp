@@ -35,24 +35,6 @@ void validate(const PipelineConfig& config) {
   }
 }
 
-namespace {
-
-std::vector<float> mean_of(const std::vector<std::vector<float>>& vecs) {
-  if (vecs.empty()) return {};
-  std::vector<float> mean(vecs.front().size(), 0.0F);
-  for (const auto& v : vecs) {
-    for (std::size_t i = 0; i < mean.size(); ++i) mean[i] += v[i];
-  }
-  const auto inv = 1.0F / static_cast<float>(vecs.size());
-  for (float& x : mean) x *= inv;
-  return mean;
-}
-
-}  // namespace
-
-std::vector<float> SampleFeatures::mean_dbl() const { return mean_of(dbl); }
-std::vector<float> SampleFeatures::mean_lbl() const { return mean_of(lbl); }
-
 std::vector<float> SampleFeatures::pooled_combined() const {
   std::vector<float> vec = pooled_dbl;
   vec.insert(vec.end(), pooled_lbl.begin(), pooled_lbl.end());

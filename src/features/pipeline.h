@@ -81,10 +81,6 @@ struct SampleFeatures {
 
   /// pooled_dbl ++ pooled_lbl: the 1x1000 detector input (paper Fig. 5).
   [[nodiscard]] std::vector<float> pooled_combined() const;
-
-  /// Mean per-labeling vectors.
-  [[nodiscard]] std::vector<float> mean_dbl() const;
-  [[nodiscard]] std::vector<float> mean_lbl() const;
 };
 
 /// Flat output of the fused extractor (FeaturePipeline::extract_into):

@@ -1,5 +1,6 @@
 #include "loader/elf_writer.h"
 
+#include <algorithm>
 #include <string_view>
 
 #include "soteria/error.h"
@@ -25,7 +26,9 @@ class Writer {
     }
   }
   void raw(std::span<const std::uint8_t> data) {
-    bytes_.insert(bytes_.end(), data.begin(), data.end());
+    const std::size_t offset = bytes_.size();
+    bytes_.resize(offset + data.size());
+    std::copy(data.begin(), data.end(), bytes_.begin() + offset);
   }
   void pad_to(std::size_t offset) {
     while (bytes_.size() < offset) bytes_.push_back(0);

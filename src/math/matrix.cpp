@@ -1,23 +1,11 @@
 #include "math/matrix.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "math/rng.h"
 
 namespace soteria::math {
-
-namespace {
-
-void require_same_shape(const Matrix& a, const Matrix& b, const char* what) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) {
-    throw std::invalid_argument(std::string(what) + ": shape mismatch " +
-                                a.shape_string() + " vs " + b.shape_string());
-  }
-}
-
-}  // namespace
 
 Matrix::Matrix(std::size_t rows, std::size_t cols, float fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
@@ -64,67 +52,9 @@ void Matrix::fill(float value) noexcept {
   for (float& x : data_) x = value;
 }
 
-void Matrix::apply(const std::function<float(float)>& f) {
-  for (float& x : data_) x = f(x);
-}
-
-Matrix& Matrix::operator+=(const Matrix& other) {
-  require_same_shape(*this, other, "Matrix::operator+=");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::operator-=(const Matrix& other) {
-  require_same_shape(*this, other, "Matrix::operator-=");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-  return *this;
-}
-
-Matrix Matrix::hadamard(const Matrix& other) const {
-  require_same_shape(*this, other, "Matrix::hadamard");
-  Matrix out(rows_, cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i)
-    out.data_[i] = data_[i] * other.data_[i];
-  return out;
-}
-
 Matrix& Matrix::operator*=(float scalar) noexcept {
   for (float& x : data_) x *= scalar;
   return *this;
-}
-
-void Matrix::add_row_vector(std::span<const float> v) {
-  if (v.size() != cols_) {
-    throw std::invalid_argument("Matrix::add_row_vector: vector length " +
-                                std::to_string(v.size()) + " != cols " +
-                                std::to_string(cols_));
-  }
-  for (std::size_t r = 0; r < rows_; ++r) {
-    float* rowp = data_.data() + r * cols_;
-    for (std::size_t c = 0; c < cols_; ++c) rowp[c] += v[c];
-  }
-}
-
-Matrix Matrix::transposed() const {
-  Matrix out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
-  return out;
-}
-
-std::vector<float> Matrix::column_sums() const {
-  std::vector<float> sums(cols_, 0.0F);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const float* rowp = data_.data() + r * cols_;
-    for (std::size_t c = 0; c < cols_; ++c) sums[c] += rowp[c];
-  }
-  return sums;
-}
-
-double Matrix::frobenius_norm() const noexcept {
-  double acc = 0.0;
-  for (float x : data_) acc += static_cast<double>(x) * x;
-  return std::sqrt(acc);
 }
 
 void Matrix::fill_uniform(Rng& rng, float lo, float hi) {
@@ -136,7 +66,12 @@ void Matrix::fill_normal(Rng& rng, float mean, float stddev) {
 }
 
 std::string Matrix::shape_string() const {
-  return "[" + std::to_string(rows_) + "x" + std::to_string(cols_) + "]";
+  std::string text = "[";
+  text += std::to_string(rows_);
+  text += 'x';
+  text += std::to_string(cols_);
+  text += ']';
+  return text;
 }
 
 namespace {
@@ -255,45 +190,6 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   matmul_into(a.data().data(), b.data().data(), c.data().data(), a.rows(),
               a.cols(), b.cols());
   return c;
-}
-
-Matrix matmul_bt(const Matrix& a, const Matrix& b) {
-  if (a.cols() != b.cols()) {
-    throw std::invalid_argument("matmul_bt: inner dimensions " +
-                                a.shape_string() + " * " + b.shape_string() +
-                                "^T");
-  }
-  // Materializing the transpose lets the streaming i-k-j kernel run;
-  // the O(k*n) copy is negligible next to the O(m*k*n) product.
-  return matmul(a, b.transposed());
-}
-
-Matrix matmul_at(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows()) {
-    throw std::invalid_argument("matmul_at: inner dimensions " +
-                                a.shape_string() + "^T * " +
-                                b.shape_string());
-  }
-  Matrix c(a.cols(), b.cols(), 0.0F);
-  matmul_at_into(a.data().data(), b.data().data(), c.data().data(), a.cols(),
-                 a.rows(), b.cols());
-  return c;
-}
-
-std::vector<float> matvec(const Matrix& m, std::span<const float> x) {
-  if (x.size() != m.cols()) {
-    throw std::invalid_argument("matvec: vector length " +
-                                std::to_string(x.size()) + " != cols of " +
-                                m.shape_string());
-  }
-  std::vector<float> y(m.rows(), 0.0F);
-  for (std::size_t r = 0; r < m.rows(); ++r) {
-    const float* rowp = m.data().data() + r * m.cols();
-    float acc = 0.0F;
-    for (std::size_t c = 0; c < m.cols(); ++c) acc += rowp[c] * x[c];
-    y[r] = acc;
-  }
-  return y;
 }
 
 }  // namespace soteria::math

@@ -8,7 +8,6 @@
 
 #include <cassert>
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -60,29 +59,8 @@ class Matrix {
   /// Sets every element to `value`.
   void fill(float value) noexcept;
 
-  /// Applies `f` to every element in place.
-  void apply(const std::function<float(float)>& f);
-
-  /// Element-wise addition / subtraction / product. Throw on shape
-  /// mismatch.
-  Matrix& operator+=(const Matrix& other);
-  Matrix& operator-=(const Matrix& other);
-  [[nodiscard]] Matrix hadamard(const Matrix& other) const;
-
   /// Scalar scaling in place.
   Matrix& operator*=(float scalar) noexcept;
-
-  /// Adds `v` (length == cols()) to every row; the usual bias broadcast.
-  void add_row_vector(std::span<const float> v);
-
-  /// Matrix transpose.
-  [[nodiscard]] Matrix transposed() const;
-
-  /// Sum over rows -> vector of length cols().
-  [[nodiscard]] std::vector<float> column_sums() const;
-
-  /// Frobenius norm.
-  [[nodiscard]] double frobenius_norm() const noexcept;
 
   /// Fills with uniform deviates in [lo, hi).
   void fill_uniform(Rng& rng, float lo, float hi);
@@ -109,28 +87,18 @@ class Matrix {
 /// Throws on inner-dimension mismatch.
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
 
-/// C = A * B^T (internally transposes B once so the streaming kernel
-/// applies; the copy is negligible next to the product).
-[[nodiscard]] Matrix matmul_bt(const Matrix& a, const Matrix& b);
-
-/// C = A^T * B without materializing the transpose. Blocked like
-/// matmul; bit-identical to the naive k-i-j loop for finite inputs.
-[[nodiscard]] Matrix matmul_at(const Matrix& a, const Matrix& b);
-
 /// Raw-pointer kernel behind matmul: writes the m x n product of
 /// row-major `a` (m x k) and `b` (k x n) into `c`, overwriting it.
-/// No aliasing between `c` and the inputs. nn::Dense::infer_into runs
-/// it on preallocated scratch.
+/// No aliasing between `c` and the inputs. nn::Dense runs it in
+/// infer_into and, against W^T, in backward_into.
 void matmul_into(const float* a, const float* b, float* c, std::size_t m,
                  std::size_t k, std::size_t n) noexcept;
 
-/// Raw-pointer kernel behind matmul_at: `a` is k x m, `b` is k x n,
-/// writes A^T * B (m x n) into `c`, overwriting it.
+/// C = A^T * B without materializing the transpose: `a` is k x m, `b`
+/// is k x n, writes the m x n product into `c`, overwriting it. Blocked
+/// like matmul_into; bit-identical to the naive k-i-j loop for finite
+/// inputs. nn::Dense::backward_into computes X^T G with it.
 void matmul_at_into(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t k, std::size_t n) noexcept;
-
-/// y = M * x for a vector x (length == cols).
-[[nodiscard]] std::vector<float> matvec(const Matrix& m,
-                                        std::span<const float> x);
 
 }  // namespace soteria::math

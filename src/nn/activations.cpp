@@ -1,17 +1,8 @@
 #include "nn/activations.h"
 
 #include <cmath>
-#include <stdexcept>
 
 namespace soteria::nn {
-
-math::Matrix Relu::forward(const math::Matrix& input, bool /*training*/) {
-  math::Matrix out(input.rows(), input.cols());
-  infer_into(input.data().data(), input.rows(), input.cols(),
-             out.data().data());
-  cached_input_ = input;
-  return out;
-}
 
 const float* Relu::infer_into(const float* in, std::size_t rows,
                               std::size_t width, float* out) const {
@@ -22,26 +13,13 @@ const float* Relu::infer_into(const float* in, std::size_t rows,
   return out;
 }
 
-math::Matrix Relu::backward(const math::Matrix& grad_output) {
-  if (grad_output.rows() != cached_input_.rows() ||
-      grad_output.cols() != cached_input_.cols()) {
-    throw std::invalid_argument("Relu::backward: shape mismatch");
+const float* Relu::backward_into(const float* in, const float* /*out*/,
+                                 const float* grad_out, std::size_t rows,
+                                 std::size_t width, float* grad_in) {
+  for (std::size_t i = 0; i < rows * width; ++i) {
+    grad_in[i] = in[i] <= 0.0F ? 0.0F : grad_out[i];
   }
-  math::Matrix grad = grad_output;
-  const auto in = cached_input_.data();
-  auto g = grad.data();
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    if (in[i] <= 0.0F) g[i] = 0.0F;
-  }
-  return grad;
-}
-
-math::Matrix Sigmoid::forward(const math::Matrix& input, bool /*training*/) {
-  math::Matrix out(input.rows(), input.cols());
-  infer_into(input.data().data(), input.rows(), input.cols(),
-             out.data().data());
-  cached_output_ = out;
-  return out;
+  return grad_in;
 }
 
 const float* Sigmoid::infer_into(const float* in, std::size_t rows,
@@ -52,18 +30,13 @@ const float* Sigmoid::infer_into(const float* in, std::size_t rows,
   return out;
 }
 
-math::Matrix Sigmoid::backward(const math::Matrix& grad_output) {
-  if (grad_output.rows() != cached_output_.rows() ||
-      grad_output.cols() != cached_output_.cols()) {
-    throw std::invalid_argument("Sigmoid::backward: shape mismatch");
+const float* Sigmoid::backward_into(const float* /*in*/, const float* out,
+                                    const float* grad_out, std::size_t rows,
+                                    std::size_t width, float* grad_in) {
+  for (std::size_t i = 0; i < rows * width; ++i) {
+    grad_in[i] = grad_out[i] * (out[i] * (1.0F - out[i]));
   }
-  math::Matrix grad = grad_output;
-  const auto y = cached_output_.data();
-  auto g = grad.data();
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    g[i] *= y[i] * (1.0F - y[i]);
-  }
-  return grad;
+  return grad_in;
 }
 
 }  // namespace soteria::nn

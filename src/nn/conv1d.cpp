@@ -1,5 +1,6 @@
 #include "nn/conv1d.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -27,14 +28,6 @@ Conv1d::Conv1d(std::size_t in_channels, std::size_t in_length,
   const float limit =
       std::sqrt(6.0F / static_cast<float>(in_channels * kernel));
   weights_.fill_uniform(rng, -limit, limit);
-}
-
-math::Matrix Conv1d::forward(const math::Matrix& input, bool /*training*/) {
-  math::Matrix out(input.rows(), output_dimension(input.cols()));
-  infer_into(input.data().data(), input.rows(), input.cols(),
-             out.data().data());
-  cached_input_ = input;
-  return out;
 }
 
 void conv1d_infer_into(const float* in, float* out, const float* weights,
@@ -117,20 +110,16 @@ const float* Conv1d::infer_into(const float* in, std::size_t rows,
   return out;
 }
 
-math::Matrix Conv1d::backward(const math::Matrix& grad_output) {
+const float* Conv1d::backward_into(const float* in, const float* /*out*/,
+                                   const float* grad_out, std::size_t rows,
+                                   std::size_t width, float* grad_in) {
   const std::size_t out_len = out_length();
-  if (grad_output.rows() != cached_input_.rows() ||
-      grad_output.cols() != out_channels_ * out_len) {
-    throw std::invalid_argument("Conv1d::backward: gradient shape " +
-                                grad_output.shape_string() +
-                                " incompatible with cached batch");
-  }
-  math::Matrix grad_input(cached_input_.rows(), cached_input_.cols(), 0.0F);
-  for (std::size_t r = 0; r < grad_output.rows(); ++r) {
-    const float* in_row =
-        cached_input_.data().data() + r * cached_input_.cols();
-    const float* go_row = grad_output.data().data() + r * grad_output.cols();
-    float* gi_row = grad_input.data().data() + r * grad_input.cols();
+  const std::size_t out_cols = out_channels_ * out_len;
+  std::fill(grad_in, grad_in + rows * width, 0.0F);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* in_row = in + r * width;
+    const float* go_row = grad_out + r * out_cols;
+    float* gi_row = grad_in + r * width;
     for (std::size_t o = 0; o < out_channels_; ++o) {
       const float* go_chan = go_row + o * out_len;
       float* wg = weight_grad_.data().data() + o * weight_grad_.cols();
@@ -158,7 +147,7 @@ math::Matrix Conv1d::backward(const math::Matrix& grad_output) {
       }
     }
   }
-  return grad_input;
+  return grad_in;
 }
 
 void Conv1d::collect_parameters(std::vector<ParamRef>& out) {

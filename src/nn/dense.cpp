@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace soteria::nn {
 
@@ -20,14 +21,6 @@ Dense::Dense(std::size_t in_dim, std::size_t out_dim, math::Rng& rng)
   weights_.fill_uniform(rng, -limit, limit);
 }
 
-math::Matrix Dense::forward(const math::Matrix& input, bool /*training*/) {
-  math::Matrix out(input.rows(), output_dimension(input.cols()));
-  infer_into(input.data().data(), input.rows(), input.cols(),
-             out.data().data());
-  cached_input_ = input;
-  return out;
-}
-
 const float* Dense::infer_into(const float* in, std::size_t rows,
                                std::size_t /*width*/, float* out) const {
   // The blocked GEMM kernel, then the bias broadcast after the full
@@ -41,17 +34,33 @@ const float* Dense::infer_into(const float* in, std::size_t rows,
   return out;
 }
 
-math::Matrix Dense::backward(const math::Matrix& grad_output) {
-  if (grad_output.rows() != cached_input_.rows() ||
-      grad_output.cols() != out_dim_) {
-    throw std::invalid_argument("Dense::backward: gradient shape " +
-                                grad_output.shape_string() +
-                                " incompatible with cached batch");
+const float* Dense::backward_into(const float* in, const float* /*out*/,
+                                  const float* grad_out, std::size_t rows,
+                                  std::size_t /*width*/, float* grad_in) {
+  // One in_dim x out_dim workspace holds X^T G (added to the weight
+  // gradient after its full k-sum), then W^T for G W^T.
+  std::vector<float> scratch(in_dim_ * out_dim_);
+  math::matmul_at_into(in, grad_out, scratch.data(), in_dim_, rows, out_dim_);
+  float* weight_grad = weight_grad_.data().data();
+  for (std::size_t i = 0; i < scratch.size(); ++i) weight_grad[i] += scratch[i];
+
+  std::vector<float> col_sums(out_dim_, 0.0F);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* row = grad_out + r * out_dim_;
+    for (std::size_t c = 0; c < out_dim_; ++c) col_sums[c] += row[c];
   }
-  weight_grad_ += math::matmul_at(cached_input_, grad_output);
-  const auto col_sums = grad_output.column_sums();
-  for (std::size_t c = 0; c < out_dim_; ++c) bias_grad_(0, c) += col_sums[c];
-  return math::matmul_bt(grad_output, weights_);
+  float* bias_grad = bias_grad_.data().data();
+  for (std::size_t c = 0; c < out_dim_; ++c) bias_grad[c] += col_sums[c];
+
+  const float* weights = weights_.data().data();
+  for (std::size_t r = 0; r < in_dim_; ++r) {
+    for (std::size_t c = 0; c < out_dim_; ++c) {
+      scratch[c * in_dim_ + r] = weights[r * out_dim_ + c];
+    }
+  }
+  math::matmul_into(grad_out, scratch.data(), grad_in, rows, out_dim_,
+                    in_dim_);
+  return grad_in;
 }
 
 void Dense::collect_parameters(std::vector<ParamRef>& out) {

@@ -14,10 +14,11 @@ class Dense : public Layer {
   /// everywhere in Soteria). Throws std::invalid_argument on zero dims.
   Dense(std::size_t in_dim, std::size_t out_dim, math::Rng& rng);
 
-  math::Matrix forward(const math::Matrix& input, bool training) override;
   const float* infer_into(const float* in, std::size_t rows,
                           std::size_t width, float* out) const override;
-  math::Matrix backward(const math::Matrix& grad_output) override;
+  const float* backward_into(const float* in, const float* out,
+                             const float* grad_out, std::size_t rows,
+                             std::size_t width, float* grad_in) override;
   void collect_parameters(std::vector<ParamRef>& out) override;
   void zero_gradients() override;
   [[nodiscard]] std::size_t parameter_count() const override;
@@ -30,9 +31,7 @@ class Dense : public Layer {
   [[nodiscard]] const math::Matrix& weights() const noexcept {
     return weights_;
   }
-  [[nodiscard]] math::Matrix& weights() noexcept { return weights_; }
   [[nodiscard]] const math::Matrix& bias() const noexcept { return bias_; }
-  [[nodiscard]] math::Matrix& bias() noexcept { return bias_; }
 
  private:
   std::size_t in_dim_;
@@ -41,7 +40,6 @@ class Dense : public Layer {
   math::Matrix bias_;          // 1 x out_dim
   math::Matrix weight_grad_;
   math::Matrix bias_grad_;
-  math::Matrix cached_input_;
 };
 
 }  // namespace soteria::nn

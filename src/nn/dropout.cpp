@@ -12,29 +12,24 @@ Dropout::Dropout(double rate, math::Rng& rng)
   }
 }
 
-math::Matrix Dropout::forward(const math::Matrix& input, bool training) {
-  if (!training || rate_ == 0.0) {
-    mask_valid_ = false;
-    return input;
-  }
+const float* Dropout::forward_into(const float* in, std::size_t rows,
+                                   std::size_t width, float* out) {
+  if (rate_ == 0.0) return in;
   const auto keep_scale = static_cast<float>(1.0 / (1.0 - rate_));
-  mask_ = math::Matrix(input.rows(), input.cols());
-  for (float& m : mask_.data()) {
-    m = rng_.bernoulli(rate_) ? 0.0F : keep_scale;
-  }
-  mask_valid_ = true;
-  return input.hadamard(mask_);
+  mask_.resize(rows * width);
+  for (float& m : mask_) m = rng_.bernoulli(rate_) ? 0.0F : keep_scale;
+  for (std::size_t i = 0; i < mask_.size(); ++i) out[i] = in[i] * mask_[i];
+  return out;
 }
 
-math::Matrix Dropout::backward(const math::Matrix& grad_output) {
-  if (!mask_valid_) return grad_output;
-  if (grad_output.rows() != mask_.rows() ||
-      grad_output.cols() != mask_.cols()) {
-    throw std::invalid_argument("Dropout::backward: gradient shape " +
-                                grad_output.shape_string() +
-                                " incompatible with cached mask");
+const float* Dropout::backward_into(const float* /*in*/, const float* /*out*/,
+                                    const float* grad_out, std::size_t rows,
+                                    std::size_t width, float* grad_in) {
+  if (rate_ == 0.0) return grad_out;
+  for (std::size_t i = 0; i < rows * width; ++i) {
+    grad_in[i] = grad_out[i] * mask_[i];
   }
-  return grad_output.hadamard(mask_);
+  return grad_in;
 }
 
 std::string Dropout::name() const {

@@ -1,6 +1,8 @@
 // Inverted dropout: active only in training, identity at inference.
 #pragma once
 
+#include <vector>
+
 #include "math/rng.h"
 #include "nn/layer.h"
 
@@ -13,7 +15,6 @@ class Dropout : public Layer {
   /// given the construction seed.
   Dropout(double rate, math::Rng& rng);
 
-  math::Matrix forward(const math::Matrix& input, bool training) override;
   /// Identity: dropout is inactive at inference, so this returns `in`
   /// and writes nothing.
   const float* infer_into(const float* in, std::size_t /*rows*/,
@@ -21,7 +22,14 @@ class Dropout : public Layer {
                           float* /*out*/) const override {
     return in;
   }
-  math::Matrix backward(const math::Matrix& grad_output) override;
+  /// Draws a fresh mask (one Bernoulli draw per element, row-major)
+  /// and applies it; at rate 0 draws nothing and returns `in`.
+  const float* forward_into(const float* in, std::size_t rows,
+                            std::size_t width, float* out) override;
+  /// Applies the last mask; at rate 0 returns `grad_out` itself.
+  const float* backward_into(const float* in, const float* out,
+                             const float* grad_out, std::size_t rows,
+                             std::size_t width, float* grad_in) override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t output_dimension(
       std::size_t input_dim) const override {
@@ -33,8 +41,7 @@ class Dropout : public Layer {
  private:
   double rate_;
   math::Rng rng_;
-  math::Matrix mask_;  // scaled keep mask from the last training forward
-  bool mask_valid_ = false;
+  std::vector<float> mask_;  // scaled keep mask of the last forward_into
 };
 
 }  // namespace soteria::nn

@@ -1,11 +1,12 @@
 // Layer abstraction for the from-scratch neural-network substrate.
 //
-// Layers transform batches (math::Matrix, rows = samples) and implement
-// manual backpropagation: `forward` caches whatever it needs, `backward`
-// consumes the loss gradient w.r.t. the layer output and returns the
-// gradient w.r.t. the layer input, accumulating parameter gradients
-// internally. Parameters are exposed through `ParamRef`s so optimizers
-// can update them without knowing layer internals.
+// Layers are raw kernels over row-major float rows (rows = samples)
+// with manual backpropagation: `infer_into` computes the output and
+// `backward_into` the gradients from the caller's buffers of the batch
+// (Sequential owns them), so a layer copies and caches nothing; only a
+// training-time random draw (Dropout's mask) outlives the forward.
+// Parameters are exposed through `ParamRef`s so optimizers can update
+// them without knowing layer internals.
 #pragma once
 
 #include <cstddef>
@@ -33,12 +34,6 @@ class Layer {
   Layer(const Layer&) = delete;
   Layer& operator=(const Layer&) = delete;
 
-  /// Batch forward pass. `training` enables train-only behaviour
-  /// (dropout masks). Implementations cache activations for backward
-  /// and compute the output with infer_into, so training and inference
-  /// share one kernel per layer.
-  virtual math::Matrix forward(const math::Matrix& input, bool training) = 0;
-
   /// The layer's inference kernel: reads `rows` row-major rows of
   /// `width` floats from `in` and writes rows x output_dimension(width)
   /// floats to `out`, which must not alias `in`. Returns the buffer
@@ -49,9 +44,21 @@ class Layer {
   virtual const float* infer_into(const float* in, std::size_t rows,
                                   std::size_t width, float* out) const = 0;
 
-  /// Batch backward pass; must follow a forward with the same batch.
-  /// Accumulates parameter gradients and returns d(loss)/d(input).
-  virtual math::Matrix backward(const math::Matrix& grad_output) = 0;
+  /// Training forward with infer_into's convention. Only a layer with
+  /// a training-time random draw overrides it (Dropout's mask).
+  virtual const float* forward_into(const float* in, std::size_t rows,
+                                    std::size_t width, float* out) {
+    return infer_into(in, rows, width, out);
+  }
+
+  /// Backward pass for the last forward_into's batch: `in` and `out`
+  /// are its input and result, `grad_out` is d(loss)/d(out). Adds to
+  /// the parameter gradients and returns the buffer holding
+  /// d(loss)/d(in) (rows x width): `grad_in`, which aliases no other
+  /// argument, or `grad_out` itself for a pass-through layer.
+  virtual const float* backward_into(const float* in, const float* out,
+                                     const float* grad_out, std::size_t rows,
+                                     std::size_t width, float* grad_in) = 0;
 
   /// Parameter/gradient pairs (empty for stateless layers).
   virtual void collect_parameters(std::vector<ParamRef>& out) { (void)out; }

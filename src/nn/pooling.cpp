@@ -1,5 +1,6 @@
 #include "nn/pooling.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -19,15 +20,15 @@ MaxPool1d::MaxPool1d(std::size_t channels, std::size_t in_length,
   }
 }
 
-void MaxPool1d::pool(const float* in, std::size_t rows, float* out,
-                     std::uint32_t* argmax) const noexcept {
+template <typename Visit>
+void MaxPool1d::pool(const float* in, std::size_t rows, Visit visit) const {
   const std::size_t out_len = out_length();
   const std::size_t in_cols = channels_ * in_length_;
   const std::size_t out_cols = channels_ * out_len;
   for (std::size_t r = 0; r < rows; ++r) {
-    const float* in_row = in + r * in_cols;
     for (std::size_t c = 0; c < channels_; ++c) {
-      const float* in_chan = in_row + c * in_length_;
+      const std::size_t in_base = r * in_cols + c * in_length_;
+      const float* in_chan = in + in_base;
       const std::size_t out_base = r * out_cols + c * out_len;
       for (std::size_t t = 0; t < out_len; ++t) {
         const std::size_t start = t * window_;
@@ -39,53 +40,26 @@ void MaxPool1d::pool(const float* in, std::size_t rows, float* out,
             best_idx = start + k;
           }
         }
-        out[out_base + t] = best;
-        if (argmax != nullptr) {
-          argmax[out_base + t] = static_cast<std::uint32_t>(best_idx);
-        }
+        visit(out_base + t, in_base + best_idx);
       }
     }
   }
-}
-
-math::Matrix MaxPool1d::forward(const math::Matrix& input,
-                                bool /*training*/) {
-  math::Matrix out(input.rows(), output_dimension(input.cols()));
-  cached_rows_ = input.rows();
-  argmax_.assign(out.size(), 0);
-  pool(input.data().data(), input.rows(), out.data().data(), argmax_.data());
-  return out;
 }
 
 const float* MaxPool1d::infer_into(const float* in, std::size_t rows,
                                    std::size_t /*width*/, float* out) const {
-  pool(in, rows, out, nullptr);
+  pool(in, rows, [in, out](std::size_t o, std::size_t i) { out[o] = in[i]; });
   return out;
 }
 
-math::Matrix MaxPool1d::backward(const math::Matrix& grad_output) {
-  const std::size_t out_len = out_length();
-  if (grad_output.rows() != cached_rows_ ||
-      grad_output.cols() != channels_ * out_len) {
-    throw std::invalid_argument("MaxPool1d::backward: gradient shape " +
-                                grad_output.shape_string() +
-                                " incompatible with cached batch");
-  }
-  math::Matrix grad_input(cached_rows_, channels_ * in_length_, 0.0F);
-  for (std::size_t r = 0; r < cached_rows_; ++r) {
-    const float* go_row = grad_output.data().data() + r * grad_output.cols();
-    float* gi_row = grad_input.data().data() + r * grad_input.cols();
-    const std::uint32_t* am_row = argmax_.data() + r * channels_ * out_len;
-    for (std::size_t c = 0; c < channels_; ++c) {
-      const float* go_chan = go_row + c * out_len;
-      float* gi_chan = gi_row + c * in_length_;
-      const std::uint32_t* am_chan = am_row + c * out_len;
-      for (std::size_t t = 0; t < out_len; ++t) {
-        gi_chan[am_chan[t]] += go_chan[t];
-      }
-    }
-  }
-  return grad_input;
+const float* MaxPool1d::backward_into(const float* in, const float* /*out*/,
+                                      const float* grad_out, std::size_t rows,
+                                      std::size_t width, float* grad_in) {
+  std::fill(grad_in, grad_in + rows * width, 0.0F);
+  pool(in, rows, [grad_out, grad_in](std::size_t o, std::size_t i) {
+    grad_in[i] += grad_out[o];
+  });
+  return grad_in;
 }
 
 std::string MaxPool1d::name() const {

@@ -2,8 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 #include "nn/layer.h"
 
@@ -17,10 +15,13 @@ class MaxPool1d : public Layer {
   /// Throws std::invalid_argument on zero sizes or window > in_length.
   MaxPool1d(std::size_t channels, std::size_t in_length, std::size_t window);
 
-  math::Matrix forward(const math::Matrix& input, bool training) override;
   const float* infer_into(const float* in, std::size_t rows,
                           std::size_t width, float* out) const override;
-  math::Matrix backward(const math::Matrix& grad_output) override;
+  /// Re-derives each window's winner from `in` and routes the window's
+  /// gradient to it.
+  const float* backward_into(const float* in, const float* out,
+                             const float* grad_out, std::size_t rows,
+                             std::size_t width, float* grad_in) override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t output_dimension(
       std::size_t input_dim) const override;
@@ -34,16 +35,15 @@ class MaxPool1d : public Layer {
 
  private:
   /// The one window loop: the first element seeds each window and a
-  /// strictly greater one replaces it. Records each winner's input
-  /// index in `argmax` (forward only) when it is non-null.
-  void pool(const float* in, std::size_t rows, float* out,
-            std::uint32_t* argmax) const noexcept;
+  /// strictly greater one replaces it. Calls `visit(o, i)` once per
+  /// window, in row, channel, window order, with the window's flat
+  /// output index `o` and its winner's flat input index `i`.
+  template <typename Visit>
+  void pool(const float* in, std::size_t rows, Visit visit) const;
 
   std::size_t channels_;
   std::size_t in_length_;
   std::size_t window_;
-  std::size_t cached_rows_ = 0;
-  std::vector<std::uint32_t> argmax_;  // flat per (row, channel, out_t)
 };
 
 }  // namespace soteria::nn

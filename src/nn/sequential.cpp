@@ -17,18 +17,35 @@ Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
     throw std::invalid_argument("Sequential::add: null layer");
   }
   layers_.push_back(std::move(layer));
+  activations_.clear();  // the last batch no longer matches the chain
   return *this;
 }
 
-math::Matrix Sequential::forward(const math::Matrix& input, bool training) {
+math::Matrix Sequential::forward(const math::Matrix& input) {
   if (layers_.empty()) {
     throw std::logic_error("Sequential::forward: no layers");
   }
-  math::Matrix activation = input;
-  for (auto& layer : layers_) {
-    activation = layer->forward(activation, training);
+  activations_.clear();
+  const std::size_t rows = input.rows();
+  widths_.assign(1, input.cols());
+  std::size_t total = rows * input.cols();
+  for (const auto& layer : layers_) {
+    widths_.push_back(layer->output_dimension(widths_.back()));
+    total += rows * widths_.back();
   }
-  return activation;
+  if (arena_.size() < total) arena_.resize(total);
+  float* slot = arena_.data();
+  std::copy(input.data().begin(), input.data().end(), slot);
+  activations_.push_back(slot);
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    slot += rows * widths_[i];
+    activations_.push_back(
+        layers_[i]->forward_into(activations_[i], rows, widths_[i], slot));
+  }
+  batch_rows_ = rows;
+  const float* out = activations_.back();
+  return math::Matrix(rows, widths_.back(),
+                      std::vector<float>(out, out + rows * widths_.back()));
 }
 
 void Sequential::infer_into(const float* in, std::size_t rows,
@@ -65,14 +82,31 @@ math::Matrix Sequential::predict(const math::Matrix& input) const {
 }
 
 math::Matrix Sequential::backward(const math::Matrix& grad_output) {
-  if (layers_.empty()) {
-    throw std::logic_error("Sequential::backward: no layers");
+  if (activations_.empty()) {
+    throw std::logic_error("Sequential::backward: no forward before it");
   }
-  math::Matrix grad = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = (*it)->backward(grad);
+  if (grad_output.rows() != batch_rows_ ||
+      grad_output.cols() != widths_.back()) {
+    throw std::invalid_argument("Sequential::backward: gradient shape " +
+                                grad_output.shape_string() +
+                                " differs from the last forward's output");
   }
-  return grad;
+  // Ping-pong gradient buffers, freed on return: kept between batches
+  // they would outlive training in every trained model.
+  Scratch grads;
+  const float* grad = grad_output.data().data();
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    std::vector<float>& buf = grad == grads.a.data() ? grads.b : grads.a;
+    if (buf.size() < batch_rows_ * widths_[i]) {
+      buf.resize(batch_rows_ * widths_[i]);
+    }
+    grad = layers_[i]->backward_into(activations_[i], activations_[i + 1],
+                                     grad, batch_rows_, widths_[i],
+                                     buf.data());
+  }
+  const std::size_t size = batch_rows_ * widths_[0];
+  return math::Matrix(batch_rows_, widths_[0],
+                      std::vector<float>(grad, grad + size));
 }
 
 std::vector<ParamRef> Sequential::parameters() {

@@ -1,4 +1,7 @@
 // Sequential container: an ordered stack of layers trained end-to-end.
+// Training and inference share the layers' raw kernels: `forward` keeps
+// every activation of the batch in an arena the container owns, which
+// `backward` reads in reverse; inference is const and touches neither.
 #pragma once
 
 #include <iosfwd>
@@ -26,10 +29,6 @@ class Sequential {
     return add(std::make_unique<L>(std::forward<Args>(args)...));
   }
 
-  /// Forward through all layers. Throws std::logic_error if empty.
-  [[nodiscard]] math::Matrix forward(const math::Matrix& input,
-                                     bool training);
-
   /// Reusable per-thread ping-pong arena for infer_into. One Scratch
   /// serves any number of calls on any model; buffers grow on demand
   /// and never shrink.
@@ -37,6 +36,12 @@ class Sequential {
     std::vector<float> a;
     std::vector<float> b;
   };
+
+  /// Training forward through every layer's forward_into (dropout
+  /// draws its masks), keeping the input and each output for backward.
+  /// Throws std::logic_error if empty and std::invalid_argument on a
+  /// width the layer chain does not accept.
+  [[nodiscard]] math::Matrix forward(const math::Matrix& input);
 
   /// Inference: runs every layer's infer_into kernel over `rows`
   /// row-major rows of `width` floats from `in`, ping-ponging through
@@ -50,10 +55,13 @@ class Sequential {
   void infer_into(const float* in, std::size_t rows, std::size_t width,
                   float* out, Scratch& scratch) const;
 
-  /// Matrix convenience over infer_into (no dropout, no layer caches).
+  /// Matrix convenience over infer_into (no dropout, no training state).
   [[nodiscard]] math::Matrix predict(const math::Matrix& input) const;
 
-  /// Backward pass through all layers; returns d(loss)/d(input).
+  /// Backward pass for the last forward's batch: adds every layer's
+  /// parameter gradients and returns d(loss)/d(input). Throws
+  /// std::logic_error if no forward ran before (or empty), and
+  /// std::invalid_argument unless shaped like that forward's output.
   math::Matrix backward(const math::Matrix& grad_output);
 
   /// All parameter/gradient pairs, in stable layer order.
@@ -90,6 +98,14 @@ class Sequential {
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
+
+  // The last forward's batch, empty until one completes. The grow-only
+  // arena holds the input and a slot per layer; activations_[i + 1] is
+  // layer i's result (its slot, or its input if it passed it on).
+  std::vector<float> arena_;
+  std::vector<const float*> activations_;
+  std::vector<std::size_t> widths_;  // [0] input, [i + 1] layer i's
+  std::size_t batch_rows_ = 0;
 };
 
 }  // namespace soteria::nn

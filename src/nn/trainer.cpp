@@ -78,7 +78,7 @@ TrainReport train_regression(Sequential& model, const math::Matrix& inputs,
         const math::Matrix x = gather_rows(inputs, batch);
         const math::Matrix y = gather_rows(targets, batch);
         model.zero_gradients();
-        const math::Matrix pred = model.forward(x, /*training=*/true);
+        const math::Matrix pred = model.forward(x);
         const LossResult loss = mse_loss(pred, y);
         model.backward(loss.gradient);
         optimizer.step(params);
@@ -103,7 +103,7 @@ TrainReport train_classifier(Sequential& model, const math::Matrix& inputs,
           y[i] = labels[batch[i]];
         }
         model.zero_gradients();
-        const math::Matrix logits = model.forward(x, /*training=*/true);
+        const math::Matrix logits = model.forward(x);
         const LossResult loss = softmax_cross_entropy(logits, y);
         model.backward(loss.gradient);
         optimizer.step(params);

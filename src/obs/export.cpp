@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string_view>
 
+#include "obs/json.h"
 #include "obs/trace.h"
 
 namespace soteria::obs {
@@ -42,39 +43,6 @@ std::size_t span_depth(std::string_view name) {
 std::string_view span_leaf(std::string_view name) {
   const auto slash = name.rfind('/');
   return slash == std::string_view::npos ? name : name.substr(slash + 1);
-}
-
-void append_json_string(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
 }
 
 void append_json_number(std::string& out, double value) {
@@ -160,7 +128,7 @@ std::string export_json(const Snapshot& snapshot) {
   for (const auto& [name, value] : snapshot.counters) {
     if (!first) out += ',';
     first = false;
-    append_json_string(out, name);
+    json::append_string(out, name);
     out += ':';
     out += std::to_string(value);
   }
@@ -169,7 +137,7 @@ std::string export_json(const Snapshot& snapshot) {
   for (const auto& [name, value] : snapshot.gauges) {
     if (!first) out += ',';
     first = false;
-    append_json_string(out, name);
+    json::append_string(out, name);
     out += ':';
     append_json_number(out, value);
   }
@@ -178,7 +146,7 @@ std::string export_json(const Snapshot& snapshot) {
   for (const auto& [name, data] : snapshot.histograms) {
     if (!first) out += ',';
     first = false;
-    append_json_string(out, name);
+    json::append_string(out, name);
     out += ":{\"count\":";
     out += std::to_string(data.count);
     out += ",\"sum\":";

@@ -1,4 +1,5 @@
-// Minimal JSON document model + recursive-descent parser.
+// Minimal JSON document model + recursive-descent parser, and the one
+// JSON string writer every emitter in the tree uses.
 //
 // Exists so the JSON exporter's output is verifiable in-tree (the obs
 // test suite round-trips every export through this parser) and so
@@ -59,6 +60,12 @@ class Value {
   std::vector<Value> array_;
   std::map<std::string, Value> object_;
 };
+
+/// Appends `text` to `out` as a quoted JSON string: `"` and `\`
+/// escaped, \n \r \t by name and every other byte below 0x20 as
+/// \u00XX, so any input yields valid JSON that parse() reads back
+/// unchanged. Bytes from 0x20 up pass through as they are.
+void append_string(std::string& out, std::string_view text);
 
 /// Parses one JSON document. Throws std::runtime_error (with a byte
 /// offset in the message) on malformed input or trailing garbage.

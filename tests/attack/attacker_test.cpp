@@ -211,7 +211,7 @@ TEST_F(AttackFixture, GeaAttackerTargetsRequestedFamily) {
 
 TEST_F(AttackFixture, FamilySelectionHonoursSizeBuckets) {
   const auto members =
-      family_members(data->train, dataset::Family::kBenign);
+      dataset::family_members(data->train, dataset::Family::kBenign);
   ASSERT_GE(members.size(), 2U);
   for (std::size_t i = 1; i < members.size(); ++i) {
     EXPECT_LE(members[i - 1]->cfg.node_count(),

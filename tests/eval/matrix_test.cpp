@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "dataset/generator.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "soteria/error.h"
 #include "soteria/presets.h"
@@ -49,6 +50,28 @@ struct MatrixFixture : public ::testing::Test {
 
 dataset::Dataset* MatrixFixture::data = nullptr;
 core::SoteriaSystem* MatrixFixture::system = nullptr;
+
+TEST(MatrixReport, JsonEscapesControlBytesInLabels) {
+  const std::string label = "a\nb\x01";
+  MatrixReport report;
+  report.attacks = {label};
+  report.defenses = {label};
+  MatrixCell cell;
+  cell.attack = label;
+  cell.defense = label;
+  report.cells = {cell};
+
+  const std::string json = report.to_json();
+  for (const char c : json) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20U) << "raw control byte";
+  }
+  const auto doc = obs::json::parse(json);
+  EXPECT_EQ(doc.at("attacks").as_array().at(0).as_string(), label);
+  EXPECT_EQ(doc.at("defenses").as_array().at(0).as_string(), label);
+  const auto& parsed = doc.at("cells").as_array().at(0);
+  EXPECT_EQ(parsed.at("attack").as_string(), label);
+  EXPECT_EQ(parsed.at("defense").as_string(), label);
+}
 
 TEST_F(MatrixFixture, GridShapeAndAccounting) {
   const auto attacks = small_grid_attacks();

@@ -111,21 +111,6 @@ TEST(Pipeline, RandomizationPropertyFreshWalksDiffer) {
   EXPECT_NE(f1.dbl, f2.dbl);
 }
 
-TEST(Pipeline, MeanVectorsAverageWalks) {
-  math::Rng rng(6);
-  const auto corpus = small_corpus(4, rng);
-  const auto pipeline = FeaturePipeline::fit(corpus, tiny_config(), rng);
-  const auto features = pipeline.extract(corpus[0], rng);
-  const auto mean = features.mean_dbl();
-  ASSERT_EQ(mean.size(), features.dbl[0].size());
-  for (std::size_t i = 0; i < mean.size(); ++i) {
-    float expected = 0.0F;
-    for (const auto& walk : features.dbl) expected += walk[i];
-    expected /= static_cast<float>(features.dbl.size());
-    EXPECT_NEAR(mean[i], expected, 1e-6);
-  }
-}
-
 TEST(Pipeline, PooledVectorHasUnitNormWhenEnabled) {
   math::Rng rng(7);
   const auto corpus = small_corpus(4, rng);

@@ -1,5 +1,5 @@
 // Bitwise-identity contracts of the blocked kernels: the cache-blocked
-// GEMM (matmul / matmul_at) and the direct conv1d kernel must produce
+// GEMM (matmul / matmul_at_into) and the direct conv1d kernel must produce
 // exactly the bytes of the naive references (naive_kernels.h) for finite
 // inputs, because every per-output accumulation runs the same
 // statement over k in the same ascending order. Shapes deliberately
@@ -63,8 +63,10 @@ TEST(BlockedGemmTest, MatmulAtMatchesReferenceBitwise) {
     // a is k x m (transposed-A product), b is k x n.
     const Matrix a = random_matrix(s[0], s[1], rng, true);
     const Matrix b = random_matrix(s[0], s[2], rng, true);
-    expect_bitwise_equal(matmul_at(a, b), matmul_at_reference(a, b),
-                         "matmul_at");
+    Matrix c(s[1], s[2]);
+    matmul_at_into(a.data().data(), b.data().data(), c.data().data(), s[1],
+                   s[0], s[2]);
+    expect_bitwise_equal(c, matmul_at_reference(a, b), "matmul_at");
   }
 }
 

@@ -116,7 +116,7 @@ TEST(CountIntoVocabTest, DuplicateSizesDoubleCountLikeReference) {
       const auto it = full.find(vocab[i]);
       const std::uint32_t expected = it == full.end() ? 0 : it->second;
       EXPECT_EQ(dense[i], expected)
-          << "trial " << trial << " gram " << gram_to_string(vocab[i]);
+          << "trial " << trial << " gram " << vocab[i];
     }
   }
 }
@@ -178,7 +178,7 @@ TEST(DirectGramTableTest, BijectiveOverBuildSetAndMissesOutside) {
   const auto table = DirectGramTable::build(keys);
   EXPECT_EQ(table.size(), keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    EXPECT_EQ(table.lookup(keys[i]), i) << gram_to_string(keys[i]);
+    EXPECT_EQ(table.lookup(keys[i]), i) << keys[i];
   }
   // Probing with keys outside the build set must miss, never alias.
   std::size_t miss_probes = 0;
@@ -225,7 +225,7 @@ TEST(CountIntoVocabTest, MatchesFilteredMapAndWindowTotal) {
       const auto it = full.find(vocab[i]);
       const std::uint32_t expected = it == full.end() ? 0 : it->second;
       EXPECT_EQ(dense[i], expected)
-          << "trial " << trial << " gram " << gram_to_string(vocab[i]);
+          << "trial " << trial << " gram " << vocab[i];
     }
   }
 }

@@ -1,5 +1,5 @@
 // The naive GEMM and convolution loops the blocked kernels replaced,
-// preserved verbatim as reference oracles: math::matmul / matmul_at
+// preserved verbatim as reference oracles: math::matmul / matmul_at_into
 // (src/math/matrix.cpp) and nn::conv1d_infer_into (src/nn/conv1d.cpp)
 // are pinned bit-identical to these by tests/infer/blocked_gemm_test,
 // and bench/perf_nn times them as its before-side.

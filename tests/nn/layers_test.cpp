@@ -11,8 +11,11 @@
 namespace soteria::nn {
 namespace {
 
+using testing::backward;
 using testing::check_input_gradient;
 using testing::check_parameter_gradients;
+using testing::forward;
+using testing::infer;
 
 math::Matrix random_batch(std::size_t rows, std::size_t cols,
                           std::uint64_t seed) {
@@ -27,10 +30,12 @@ math::Matrix random_batch(std::size_t rows, std::size_t cols,
 TEST(Dense, ForwardIsAffine) {
   math::Rng rng(1);
   Dense layer(2, 3, rng);
-  layer.weights() = math::Matrix(2, 3, {1, 2, 3, 4, 5, 6});
-  layer.bias() = math::Matrix(1, 3, {10, 20, 30});
+  std::vector<ParamRef> params;
+  layer.collect_parameters(params);
+  *params[0].value = math::Matrix(2, 3, {1, 2, 3, 4, 5, 6});
+  *params[1].value = math::Matrix(1, 3, {10, 20, 30});
   const math::Matrix input(1, 2, {1.0F, 2.0F});
-  const auto out = layer.forward(input, false);
+  const auto out = infer(layer, input);
   EXPECT_FLOAT_EQ(out(0, 0), 1 * 1 + 2 * 4 + 10);
   EXPECT_FLOAT_EQ(out(0, 1), 1 * 2 + 2 * 5 + 20);
   EXPECT_FLOAT_EQ(out(0, 2), 1 * 3 + 2 * 6 + 30);
@@ -45,7 +50,7 @@ TEST(Dense, RejectsZeroDims) {
 TEST(Dense, RejectsWrongInputWidth) {
   math::Rng rng(1);
   Dense layer(4, 2, rng);
-  EXPECT_THROW((void)layer.forward(math::Matrix(1, 3), false),
+  EXPECT_THROW((void)infer(layer, math::Matrix(1, 3)),
                std::invalid_argument);
   EXPECT_EQ(layer.output_dimension(4), 2U);
   EXPECT_THROW((void)layer.output_dimension(5), std::invalid_argument);
@@ -67,13 +72,13 @@ TEST(Dense, GradientsAccumulateUntilZeroed) {
   math::Rng rng(6);
   Dense layer(2, 2, rng);
   const auto input = random_batch(1, 2, 7);
-  const auto out = layer.forward(input, true);
-  (void)layer.backward(out);
+  const auto out = forward(layer, input);
+  (void)backward(layer, input, out, out);
   std::vector<ParamRef> params;
   layer.collect_parameters(params);
   const float first = params[0].grad->data()[0];
-  (void)layer.forward(input, true);
-  (void)layer.backward(out);
+  (void)forward(layer, input);
+  (void)backward(layer, input, out, out);
   EXPECT_NEAR(params[0].grad->data()[0], 2.0F * first, 1e-4);
   layer.zero_gradients();
   EXPECT_FLOAT_EQ(params[0].grad->data()[0], 0.0F);
@@ -91,7 +96,7 @@ TEST(Dense, ParameterCount) {
 TEST(Relu, ForwardClampsNegatives) {
   Relu relu;
   const math::Matrix in(1, 4, {-1.0F, 0.0F, 2.0F, -3.0F});
-  const auto out = relu.forward(in, false);
+  const auto out = infer(relu, in);
   EXPECT_FLOAT_EQ(out(0, 0), 0.0F);
   EXPECT_FLOAT_EQ(out(0, 2), 2.0F);
 }
@@ -99,9 +104,9 @@ TEST(Relu, ForwardClampsNegatives) {
 TEST(Relu, BackwardMasksBlockedUnits) {
   Relu relu;
   const math::Matrix in(1, 3, {-1.0F, 2.0F, 3.0F});
-  (void)relu.forward(in, true);
+  const auto out = forward(relu, in);
   const math::Matrix grad(1, 3, {5.0F, 5.0F, 5.0F});
-  const auto gin = relu.backward(grad);
+  const auto gin = backward(relu, in, out, grad);
   EXPECT_FLOAT_EQ(gin(0, 0), 0.0F);
   EXPECT_FLOAT_EQ(gin(0, 1), 5.0F);
 }
@@ -118,7 +123,7 @@ TEST(Relu, GradientMatchesNumeric) {
 TEST(Sigmoid, ForwardRange) {
   Sigmoid sigmoid;
   const math::Matrix in(1, 3, {-100.0F, 0.0F, 100.0F});
-  const auto out = sigmoid.forward(in, false);
+  const auto out = infer(sigmoid, in);
   EXPECT_NEAR(out(0, 0), 0.0F, 1e-6);
   EXPECT_FLOAT_EQ(out(0, 1), 0.5F);
   EXPECT_NEAR(out(0, 2), 1.0F, 1e-6);
@@ -141,7 +146,7 @@ TEST(Conv1d, ForwardMatchesHandComputation) {
   params[0].value->data()[1] = 2.0F;
   params[1].value->data()[0] = 0.5F;
   const math::Matrix in(1, 4, {1.0F, 2.0F, 3.0F, 4.0F});
-  const auto out = conv.forward(in, false);
+  const auto out = infer(conv, in);
   ASSERT_EQ(out.cols(), 3U);
   EXPECT_FLOAT_EQ(out(0, 0), 1 + 4 + 0.5F);
   EXPECT_FLOAT_EQ(out(0, 1), 2 + 6 + 0.5F);
@@ -154,7 +159,7 @@ TEST(Conv1d, MultiChannelShapes) {
   EXPECT_EQ(conv.out_length(), 8U);
   EXPECT_EQ(conv.output_dimension(30), 40U);
   EXPECT_THROW((void)conv.output_dimension(29), std::invalid_argument);
-  const auto out = conv.forward(random_batch(2, 30, 12), false);
+  const auto out = infer(conv, random_batch(2, 30, 12));
   EXPECT_EQ(out.rows(), 2U);
   EXPECT_EQ(out.cols(), 40U);
 }
@@ -164,7 +169,7 @@ TEST(Conv1d, Validation) {
   EXPECT_THROW(Conv1d(0, 4, 1, 2, rng), std::invalid_argument);
   EXPECT_THROW(Conv1d(1, 4, 1, 5, rng), std::invalid_argument);
   Conv1d conv(1, 4, 1, 2, rng);
-  EXPECT_THROW((void)conv.forward(math::Matrix(1, 5), false),
+  EXPECT_THROW((void)infer(conv, math::Matrix(1, 5)),
                std::invalid_argument);
 }
 
@@ -185,7 +190,7 @@ TEST(Conv1d, ParameterGradientsMatchNumeric) {
 TEST(MaxPool1d, ForwardPicksWindowMax) {
   MaxPool1d pool(1, 6, 2);
   const math::Matrix in(1, 6, {1.0F, 5.0F, 2.0F, 2.0F, 9.0F, -1.0F});
-  const auto out = pool.forward(in, false);
+  const auto out = infer(pool, in);
   ASSERT_EQ(out.cols(), 3U);
   EXPECT_FLOAT_EQ(out(0, 0), 5.0F);
   EXPECT_FLOAT_EQ(out(0, 1), 2.0F);
@@ -196,16 +201,16 @@ TEST(MaxPool1d, DropsRemainder) {
   MaxPool1d pool(1, 5, 2);
   EXPECT_EQ(pool.out_length(), 2U);
   const math::Matrix in(1, 5, {1, 2, 3, 4, 99});
-  const auto out = pool.forward(in, false);
+  const auto out = infer(pool, in);
   EXPECT_EQ(out.cols(), 2U);  // the 99 in the tail is dropped
 }
 
 TEST(MaxPool1d, BackwardRoutesToArgmax) {
   MaxPool1d pool(1, 4, 2);
   const math::Matrix in(1, 4, {1.0F, 5.0F, 7.0F, 2.0F});
-  (void)pool.forward(in, true);
+  const auto out = forward(pool, in);
   const math::Matrix grad(1, 2, {10.0F, 20.0F});
-  const auto gin = pool.backward(grad);
+  const auto gin = backward(pool, in, out, grad);
   EXPECT_FLOAT_EQ(gin(0, 0), 0.0F);
   EXPECT_FLOAT_EQ(gin(0, 1), 10.0F);
   EXPECT_FLOAT_EQ(gin(0, 2), 20.0F);
@@ -215,7 +220,7 @@ TEST(MaxPool1d, BackwardRoutesToArgmax) {
 TEST(MaxPool1d, MultiChannelIndependence) {
   MaxPool1d pool(2, 4, 2);
   const math::Matrix in(1, 8, {1, 9, 0, 0, 5, 1, 2, 8});
-  const auto out = pool.forward(in, false);
+  const auto out = infer(pool, in);
   ASSERT_EQ(out.cols(), 4U);
   EXPECT_FLOAT_EQ(out(0, 0), 9.0F);
   EXPECT_FLOAT_EQ(out(0, 2), 5.0F);
@@ -226,7 +231,7 @@ TEST(MaxPool1d, Validation) {
   EXPECT_THROW(MaxPool1d(0, 4, 2), std::invalid_argument);
   EXPECT_THROW(MaxPool1d(1, 4, 5), std::invalid_argument);
   MaxPool1d pool(1, 4, 2);
-  EXPECT_THROW((void)pool.forward(math::Matrix(1, 5), false),
+  EXPECT_THROW((void)infer(pool, math::Matrix(1, 5)),
                std::invalid_argument);
 }
 
@@ -236,14 +241,14 @@ TEST(Dropout, IdentityAtInference) {
   math::Rng rng(20);
   Dropout dropout(0.5, rng);
   const auto in = random_batch(2, 8, 21);
-  EXPECT_EQ(dropout.forward(in, false), in);
+  EXPECT_EQ(infer(dropout, in), in);
 }
 
 TEST(Dropout, TrainingZeroesAndRescales) {
   math::Rng rng(22);
   Dropout dropout(0.5, rng);
   math::Matrix in(1, 2000, 1.0F);
-  const auto out = dropout.forward(in, true);
+  const auto out = forward(dropout, in);
   std::size_t zeros = 0;
   for (float x : out.data()) {
     if (x == 0.0F) {
@@ -259,9 +264,9 @@ TEST(Dropout, BackwardUsesSameMask) {
   math::Rng rng(23);
   Dropout dropout(0.5, rng);
   math::Matrix in(1, 100, 1.0F);
-  const auto out = dropout.forward(in, true);
+  const auto out = forward(dropout, in);
   const math::Matrix grad(1, 100, 1.0F);
-  const auto gin = dropout.backward(grad);
+  const auto gin = backward(dropout, in, out, grad);
   for (std::size_t c = 0; c < 100; ++c) {
     EXPECT_FLOAT_EQ(gin(0, c), out(0, c));  // same zero pattern & scale
   }
@@ -271,7 +276,7 @@ TEST(Dropout, ZeroRateIsIdentityEvenInTraining) {
   math::Rng rng(24);
   Dropout dropout(0.0, rng);
   const auto in = random_batch(1, 5, 25);
-  EXPECT_EQ(dropout.forward(in, true), in);
+  EXPECT_EQ(forward(dropout, in), in);
 }
 
 TEST(Dropout, RateValidation) {

@@ -117,7 +117,7 @@ TEST(Learning, SequentialGradientsFlowThroughWholeCnn) {
   const std::vector<std::size_t> label{1};
 
   model.zero_gradients();
-  const auto logits = model.forward(input, true);
+  const auto logits = model.forward(input);
   const auto loss = softmax_cross_entropy(logits, label);
   const auto input_grad = model.backward(loss.gradient);
 
@@ -126,10 +126,10 @@ TEST(Learning, SequentialGradientsFlowThroughWholeCnn) {
     const float saved = input(0, c);
     input(0, c) = saved + eps;
     const double plus =
-        softmax_cross_entropy(model.forward(input, true), label).loss;
+        softmax_cross_entropy(model.forward(input), label).loss;
     input(0, c) = saved - eps;
     const double minus =
-        softmax_cross_entropy(model.forward(input, true), label).loss;
+        softmax_cross_entropy(model.forward(input), label).loss;
     input(0, c) = saved;
     const double numeric = (plus - minus) / (2.0 * eps);
     EXPECT_NEAR(input_grad(0, c), numeric,

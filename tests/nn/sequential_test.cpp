@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "nn/activations.h"
@@ -26,17 +27,88 @@ TEST(Sequential, ForwardChainsLayers) {
   math::Rng rng(2);
   math::Matrix input(3, 4);
   input.fill_normal(rng, 0.0F, 1.0F);
-  const auto out = model.forward(input, false);
+  const auto out = model.forward(input);
   EXPECT_EQ(out.rows(), 3U);
   EXPECT_EQ(out.cols(), 2U);
+  EXPECT_EQ(out, model.predict(input));  // no dropout: same kernels
 }
 
 TEST(Sequential, EmptyModelThrows) {
   Sequential model;
-  EXPECT_THROW((void)model.forward(math::Matrix(1, 1), false),
-               std::logic_error);
+  EXPECT_THROW((void)model.forward(math::Matrix(1, 1)), std::logic_error);
   EXPECT_THROW((void)model.backward(math::Matrix(1, 1)), std::logic_error);
   EXPECT_THROW(model.add(nullptr), std::invalid_argument);
+}
+
+TEST(Sequential, BackwardWithoutForwardThrows) {
+  auto model = two_layer(20);
+  EXPECT_THROW((void)model.backward(math::Matrix(3, 2)), std::logic_error);
+  // A forward that rejects its input leaves no batch behind either.
+  EXPECT_THROW((void)model.forward(math::Matrix(3, 5)),
+               std::invalid_argument);
+  EXPECT_THROW((void)model.backward(math::Matrix(3, 2)), std::logic_error);
+}
+
+TEST(Sequential, BackwardChecksGradientShape) {
+  auto model = two_layer(21);
+  (void)model.forward(math::Matrix(3, 4, 0.5F));
+  EXPECT_THROW((void)model.backward(math::Matrix(2, 2)),
+               std::invalid_argument);  // rows differ
+  EXPECT_THROW((void)model.backward(math::Matrix(3, 4)),
+               std::invalid_argument);  // width of the input, not output
+  const auto grad = model.backward(math::Matrix(3, 2, 1.0F));
+  EXPECT_EQ(grad.rows(), 3U);
+  EXPECT_EQ(grad.cols(), 4U);
+}
+
+// A small batch after a larger one reuses the grown arena and gradient
+// buffers; nothing of the larger batch may leak into its gradients.
+// Dropout is off so both models see the same arithmetic.
+TEST(Sequential, ArenaReuseKeepsGradientsBitIdentical) {
+  const auto cnn = [] {
+    math::Rng rng(22);
+    CnnConfig config;
+    config.input_length = 24;
+    config.filters = 3;
+    config.dense_units = 8;
+    config.conv_dropout = 0.0;
+    config.dense_dropout = 0.0;
+    return build_cnn(config, rng);
+  };
+  const auto batch = [](std::size_t rows, std::uint64_t seed) {
+    math::Rng rng(seed);
+    math::Matrix m(rows, 24);
+    m.fill_normal(rng, 0.0F, 1.0F);
+    return m;
+  };
+  const auto step = [](Sequential& model, const math::Matrix& x) {
+    model.zero_gradients();
+    const auto out = model.forward(x);
+    return model.backward(out);  // dL/dout = out
+  };
+  const auto small = batch(3, 23);
+
+  auto fresh = cnn();
+  const auto fresh_input_grad = step(fresh, small);
+
+  auto reused = cnn();
+  (void)step(reused, batch(7, 24));
+  const auto reused_input_grad = step(reused, small);
+
+  const auto bit_identical = [](const math::Matrix& a,
+                                const math::Matrix& b) {
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       a.size() * sizeof(float)) == 0;
+  };
+  EXPECT_TRUE(bit_identical(reused_input_grad, fresh_input_grad));
+  const auto want = fresh.parameters();
+  const auto got = reused.parameters();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t p = 0; p < want.size(); ++p) {
+    EXPECT_TRUE(bit_identical(*got[p].grad, *want[p].grad))
+        << "parameter " << p;
+  }
 }
 
 TEST(Sequential, OutputDimensionValidatesChain) {

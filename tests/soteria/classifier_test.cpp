@@ -48,6 +48,17 @@ FamilyClassifier trained_classifier(std::uint64_t seed = 1) {
                                  nn::make_train_config(60, 16), 5e-3, rng);
 }
 
+/// Element-wise mean of the per-walk vectors.
+std::vector<float> mean_of(const std::vector<std::vector<float>>& walks) {
+  std::vector<float> mean(walks.front().size(), 0.0F);
+  for (const auto& walk : walks) {
+    for (std::size_t i = 0; i < mean.size(); ++i) mean[i] += walk[i];
+  }
+  const auto inv = 1.0F / static_cast<float>(walks.size());
+  for (float& x : mean) x *= inv;
+  return mean;
+}
+
 features::SampleFeatures features_for_class(std::size_t class_index,
                                             std::uint64_t seed) {
   math::Rng rng(seed);
@@ -56,8 +67,8 @@ features::SampleFeatures features_for_class(std::size_t class_index,
     features.dbl.push_back(class_vector(class_index, rng));
     features.lbl.push_back(class_vector(class_index, rng));
   }
-  features.pooled_dbl = features.mean_dbl();
-  features.pooled_lbl = features.mean_lbl();
+  features.pooled_dbl = mean_of(features.dbl);
+  features.pooled_lbl = mean_of(features.lbl);
   return features;
 }
 
